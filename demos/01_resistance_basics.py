@@ -1,9 +1,9 @@
 """Walk through the resistance toolkit on small graphs.
 
-Builds a few weighted graphs, computes resistance distances through the two
-independent routes (block elimination vs grounded solve), checks the metric
-axioms numerically, and shows the classical edge-sum identity and the
-conductance scaling law.
+Builds a few weighted graphs, computes resistance distances through two
+routes (one Cholesky solve for all pairs vs a grounded LU solve per pair),
+checks the metric axioms numerically, and shows the classical edge-sum
+identity and the conductance scaling law.
 """
 
 import numpy as np

@@ -21,11 +21,15 @@ import ohmlab as ol
 
 
 def verify_independently(report):
-    """Recompute the flagged product via the Jacobi + block-elimination routes."""
+    """Recompute the flagged product via ``eigen_sym`` and ``global_resistance``.
+
+    Both routes are separate from the search's own evaluator, which takes
+    eigenvalues from LAPACK ``syev`` and rho from the cycle closed form.
+    """
     g = ol.cycle(report.n, list(report.best_max_conductances))
     lam1 = ol.eigen_sym(ol.laplacian(g)).eigenvalues[1]
     rho = ol.global_resistance(g)
-    scaled = ol.scale(g, rho / report.n_minus_1 if False else rho / (report.n - 1))
+    scaled = ol.scale(g, rho / (report.n - 1))
     lam1_scaled = ol.eigen_sym(ol.laplacian(scaled)).eigenvalues[1]
     rho_scaled = ol.global_resistance(scaled)
     return lam1 * rho, lam1_scaled, rho_scaled

@@ -15,7 +15,7 @@ import numpy as np
 from .extremal import scan_family, search_counterexample, unit_cycle_baseline, verify_theorem
 from .families import FIGURE_FAMILIES, InfeasibleFamilyError, reference_conductance
 from .graphs import GraphError, GraphFormatError, laplacian, load_graph
-from .linalg import DEFAULT_JACOBI_TOL, eigen_sym
+from .linalg import eigen_sym
 from .resistance import cycle_rho_closed_form, effective_resistance, global_resistance, three_cycle_rho
 
 
@@ -39,8 +39,7 @@ def _cmd_rho(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = load_graph(args.graph)
-    tol = args.tol if args.tol is not None else DEFAULT_JACOBI_TOL
-    spectrum = eigen_sym(laplacian(g), tol=tol)
+    spectrum = eigen_sym(laplacian(g))
     for value in spectrum.eigenvalues:
         print(_fmt(value))
     return 0
@@ -167,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "eigenvalue experiments on weighted cycles.",
     )
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the command's default tolerance "
-                             "(eigensolver threshold for spectrum, bound tolerance for verify)")
+                        help="relative bound tolerance for verify (default 1e-9); "
+                             "other commands ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("resistance", help="resistance distance between two vertices of a graph file")

@@ -211,9 +211,10 @@ def _product_evaluator(n: int) -> Callable[[np.ndarray], tuple[float, float]]:
     """(lambda_1 rho, lambda_max rho) of the n-cycle with log-conductances (0, x...).
 
     Pinning the first coordinate removes the scale gauge: the products are
-    invariant under global conductance scaling. Uses a raw LAPACK eigensolver
-    for speed; the Jacobi route cross-checks it in the test suite. Points
-    whose conductances would overflow or underflow yield (nan, nan).
+    invariant under global conductance scaling. Uses eigenvalue-only LAPACK
+    ``syev`` on a reused buffer for speed; the test suite cross-checks it
+    against :func:`eigen_sym` and :func:`global_resistance`. Points whose
+    conductances would overflow or underflow yield (nan, nan).
     """
     indices = np.arange(n)
     successors = np.roll(indices, -1)

@@ -8,6 +8,7 @@ all downstream floating-point accumulation, is deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,10 +52,15 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedGrap
     canonical = []
     seen = set()
     for entry in edges:
-        i, j, c = entry
-        i = int(i)
-        j = int(j)
-        c = float(c)
+        try:
+            i, j, c = entry
+            i = operator.index(i)
+            j = operator.index(j)
+            c = float(c)
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"edge must be (i, j, c) with integer vertices and a real conductance: {entry!r}"
+            ) from None
         if i == j:
             raise GraphError(f"loop edge not allowed: {entry!r}")
         if not (0 <= i < n and 0 <= j < n):

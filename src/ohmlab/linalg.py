@@ -1,35 +1,19 @@
-"""Self-contained dense symmetric linear algebra.
+"""Dense symmetric linear algebra on LAPACK.
 
-Two primitives back everything else in the package: a cyclic-Jacobi
-eigendecomposition for real symmetric matrices and a Cholesky solve for
-symmetric positive-definite systems. Jacobi was chosen over
-tridiagonalization + QL because the matrices handled here are tiny
-(dim <= ~50), it is simple to keep correct, and it delivers orthogonal
-eigenvectors directly.
+Two primitives back everything else in the package: a full symmetric
+eigendecomposition (``dsyevr``) and a Cholesky factorization and solve
+(``dpotrf``/``dpotrs``) for symmetric positive-definite systems. They call
+the ``scipy.linalg.lapack`` wrappers directly: on the small matrices handled
+here these run in the calling thread, while ``scipy.linalg.solve_triangular``
+wakes a BLAS worker thread even for 2x2 systems.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-
-DEFAULT_JACOBI_TOL = 1e-12
-JACOBI_SWEEP_CAP = 100
-
-
-class JacobiConvergenceError(np.linalg.LinAlgError):
-    """Sweep cap reached before the off-diagonal norm dropped below threshold."""
-
-    def __init__(self, off_diagonal: float, sweeps: int):
-        super().__init__(
-            f"Jacobi iteration did not converge in {sweeps} sweeps "
-            f"(largest off-diagonal magnitude {off_diagonal:.3e})"
-        )
-        self.off_diagonal = off_diagonal
-        self.sweeps = sweeps
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -88,81 +72,18 @@ class Spectrum:
         object.__setattr__(self, "eigenvectors", _frozen(np.asarray(self.eigenvectors, dtype=float)))
 
 
-def _max_offdiag(a: list, n: int) -> float:
-    largest = 0.0
-    for i in range(n - 1):
-        row = a[i]
-        for j in range(i + 1, n):
-            x = abs(row[j])
-            if x > largest:
-                largest = x
-    return largest
+def eigen_sym(matrix) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``dsyevr``.
 
-
-def eigen_sym(matrix, tol: float = DEFAULT_JACOBI_TOL, max_sweeps: int = JACOBI_SWEEP_CAP) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until every off-diagonal magnitude is at most ``tol`` times the
-    Frobenius norm of the input (which rotations preserve), or until
-    ``max_sweeps`` is exhausted, which raises :class:`JacobiConvergenceError`.
-    Eigenpairs are returned ascending; ties keep the stable sort order.
+    Eigenpairs are returned ascending. A non-zero LAPACK ``info`` raises
+    :class:`numpy.linalg.LinAlgError`.
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    n = sym.dim
-    a0 = sym.entries
-    threshold = tol * float(np.linalg.norm(a0, "fro"))
-
-    # Plain nested lists: faster than sliced ndarray updates at these sizes.
-    a = [row[:] for row in a0.tolist()]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-    sweeps = 0
-    off = _max_offdiag(a, n)
-    while not off <= threshold:
-        if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(off, sweeps)
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if abs(apq) <= threshold:
-                    continue
-                aq = a[q]
-                tau = (aq[q] - ap[p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for row in a:
-                    rp = row[p]
-                    rq = row[q]
-                    row[p] = c * rp - s * rq
-                    row[q] = s * rp + c * rq
-                for k in range(n):
-                    pk = ap[k]
-                    qk = aq[k]
-                    ap[k] = c * pk - s * qk
-                    aq[k] = s * pk + c * qk
-                ap[q] = 0.0
-                aq[p] = 0.0
-                for row in v:
-                    rp = row[p]
-                    rq = row[q]
-                    row[p] = c * rp - s * rq
-                    row[q] = s * rp + c * rq
-        sweeps += 1
-        off = _max_offdiag(a, n)
-
-    values = np.array([a[i][i] for i in range(n)])
-    vectors = np.array(v)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    residuals = a0 @ vectors - vectors * values
+    a = sym.entries
+    values, vectors, _, _, info = dsyevr(a, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info}")
+    residuals = a @ vectors - vectors * values
     max_residual = float(np.max(np.linalg.norm(residuals, axis=0)))
     return Spectrum(eigenvalues=values, eigenvectors=vectors, max_residual=max_residual)
 
@@ -174,17 +95,13 @@ def cholesky_lower(matrix) -> np.ndarray:
     reporting its (0-based) index and value.
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
-    a = sym.entries
-    n = sym.dim
-    lower = np.zeros_like(a)
-    for k in range(n):
-        pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if not pivot > 0.0:
-            raise NotPositiveDefiniteError(index=k, value=float(pivot))
-        lkk = math.sqrt(pivot)
-        lower[k, k] = lkk
-        if k + 1 < n:
-            lower[k + 1:, k] = (a[k + 1:, k] - lower[k + 1:, :k] @ lower[k, :k]) / lkk
+    lower, info = dpotrf(sym.entries, lower=1)
+    if info > 0:
+        # dpotrf stops at the failing pivot and leaves its value on the diagonal
+        k = info - 1
+        raise NotPositiveDefiniteError(index=k, value=float(lower[k, k]))
+    if info < 0:
+        raise np.linalg.LinAlgError(f"LAPACK dpotrf failed with info = {info}")
     return lower
 
 
@@ -196,9 +113,9 @@ def solve_spd(matrix, rhs, return_pivot_ratio: bool = False):
     factorization, a cheap conditioning indicator.
     """
     lower = cholesky_lower(matrix)
-    b = np.asarray(rhs, dtype=float)
-    y = solve_triangular(lower, b, lower=True, check_finite=False)
-    x = solve_triangular(lower.T, y, lower=False, check_finite=False)
+    x, info = dpotrs(lower, np.asarray(rhs, dtype=float), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dpotrs failed with info = {info}")
     if return_pivot_ratio:
         d = np.diag(lower)
         ratio = float((d.max() / d.min()) ** 2)

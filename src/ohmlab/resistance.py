@@ -1,14 +1,11 @@
 """Effective-resistance metric and global resistance of weighted graphs.
 
-The canonical route eliminates all vertices except the probed pair from the
-Laplacian: with the pair relabeled to positions 0 and 1 and blocks
-
-    H = [[M, J'], [J, L]],
-
-the minimal energy of a potential pinned to 1 and 0 at the pair is
-``<(M - J' L^-1 J) f0, f0>`` with ``f0 = (1, 0)``, and the resistance
-distance is its reciprocal. A grounded-node solve provides a numerically
-independent second route, and series-parallel closed forms cover cycles.
+Every resistance query reads from one resistance matrix. Grounding the
+vertex g of largest degree deletes its row and column from the Laplacian;
+the rest is symmetric positive definite, and its inverse, padded with zeros
+at g, is a generalized inverse G of the Laplacian with
+``R_ij = G_ii + G_jj - 2 G_ij``. A grounded LU solve per pair provides a
+second route for tests, and series-parallel closed forms cover cycles.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ ILL_CONDITIONED_PIVOT_RATIO = 1e14
 
 
 class IllConditionedWarning(RuntimeWarning):
-    """Extreme conductance ratios made the eliminated block nearly singular."""
+    """Extreme conductance ratios made the grounded Laplacian nearly singular."""
 
 
 @dataclass(frozen=True)
@@ -50,38 +47,37 @@ def _require_connected(g: WeightedGraph) -> None:
         raise DisconnectedGraphError("graph is not connected")
 
 
-def _schur_energy(h: np.ndarray, n: int, i: int, j: int) -> float:
-    """Minimal pinned energy by block elimination of every vertex except i, j."""
-    order = [i, j] + [k for k in range(n) if k != i and k != j]
-    hp = h[np.ix_(order, order)]
-    m = hp[:2, :2]
-    if n == 2:
-        return float(m[0, 0])
-    jblk = hp[2:, :2]
-    lblk = hp[2:, 2:]
+def _resistance_matrix(g: WeightedGraph) -> np.ndarray:
+    """All pairwise resistance distances from one Cholesky solve of the grounded Laplacian."""
+    h = laplacian(g).entries
+    ground = int(np.argmax(np.diag(h)))
+    keep = [k for k in range(g.n) if k != ground]
     try:
-        x, pivot_ratio = solve_spd(lblk, jblk, return_pivot_ratio=True)
+        inverse, pivot_ratio = solve_spd(h[np.ix_(keep, keep)], np.eye(g.n - 1),
+                                         return_pivot_ratio=True)
     except NotPositiveDefiniteError as exc:
         raise DisconnectedGraphError(
-            "eliminated block is not positive definite (graph disconnected?)"
+            "grounded Laplacian is not positive definite (graph disconnected?)"
         ) from exc
     if pivot_ratio > ILL_CONDITIONED_PIVOT_RATIO:
         warnings.warn(
-            f"eliminated block is ill conditioned (pivot ratio {pivot_ratio:.3e}); "
+            f"grounded Laplacian is ill conditioned (pivot ratio {pivot_ratio:.3e}); "
             "resistance values may lose accuracy",
             IllConditionedWarning,
             stacklevel=3,
         )
-    schur = m - jblk.T @ x
-    return float(schur[0, 0])
+    green = np.zeros((g.n, g.n))
+    green[np.ix_(keep, keep)] = inverse
+    diagonal = np.diag(green)
+    return diagonal[:, None] + diagonal[None, :] - 2.0 * green
 
 
 def effective_resistance(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     """Resistance distance between vertices i and j with the minimizing energy."""
     _check_pair(g, i, j)
     _require_connected(g)
-    energy_min = _schur_energy(laplacian(g).entries, g.n, i, j)
-    return ResistanceReport(pair=(i, j), value=1.0 / energy_min, energy_min=energy_min)
+    value = float(_resistance_matrix(g)[i, j])
+    return ResistanceReport(pair=(i, j), value=value, energy_min=1.0 / value)
 
 
 def effective_resistance_oracle(g: WeightedGraph, i: int, j: int) -> float:
@@ -108,11 +104,8 @@ def global_resistance(g: WeightedGraph) -> float:
     if not g.edges:
         raise GraphError("global resistance needs at least one edge")
     _require_connected(g)
-    h = laplacian(g).entries
-    total = 0.0
-    for i, j, _ in g.edges:
-        total += 1.0 / _schur_energy(h, g.n, i, j)
-    return total
+    r = _resistance_matrix(g)
+    return float(sum(r[i, j] for i, j, _ in g.edges))
 
 
 def three_cycle_rho(c01: float, c02: float, c12: float) -> float:
@@ -142,25 +135,17 @@ def cycle_rho_closed_form(conductances: Sequence[float]) -> float:
 def metric_check(g: WeightedGraph, tol: float = 1e-10) -> bool:
     """Numerically confirm the resistance distance is a metric on the vertices.
 
-    Checks symmetry (both orientations computed independently) and the
+    Checks symmetry of the computed resistance matrix (R_ij and R_ji come
+    from the two off-diagonal entries of the computed inverse) and the
     triangle inequality over all vertex triples, each with slack ``tol``.
     """
     _require_connected(g)
-    h = laplacian(g).entries
-    d = np.zeros((g.n, g.n))
-    for a in range(g.n):
-        for b in range(g.n):
-            if a != b:
-                d[a, b] = 1.0 / _schur_energy(h, g.n, a, b)
+    d = _resistance_matrix(g)
     if np.max(np.abs(d - d.T)) > tol:
         return False
-    for a in range(g.n):
-        for b in range(g.n):
-            if b == a:
-                continue
-            for c in range(g.n):
-                if c == a or c == b:
-                    continue
-                if d[a, c] > d[a, b] + d[b, c] + tol:
-                    return False
+    for b in range(g.n):
+        # d(a, c) <= d(a, b) + d(b, c) for every a, c through the middle vertex b;
+        # repeated vertices need no exclusion because the diagonal is exactly zero
+        if np.any(d > d[:, b, None] + d[None, b, :] + tol):
+            return False
     return True

@@ -71,6 +71,25 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(1, [])
 
+    @pytest.mark.parametrize("entry", [
+        (0, 1.7, 1.0),
+        (0.0, 1, 1.0),
+        (0, 1),
+        (0, 1, 1.0, 2.0),
+        (0, "1", 1.0),
+        (0, 1, "one"),
+        (0, None, 1.0),
+        5,
+    ])
+    def test_rejects_malformed_edge_tuple(self, entry):
+        with pytest.raises(GraphError, match="edge must be"):
+            build_graph(3, [entry])
+
+    def test_accepts_numpy_integer_indices(self):
+        g = build_graph(3, [(np.int64(0), np.int32(2), np.float64(1.5))])
+        assert g.edges == ((0, 2, 1.5),)
+        assert type(g.edges[0][1]) is int
+
 
 class TestCycle:
     def test_unit_three_cycle(self):

@@ -1,5 +1,6 @@
-"""Jacobi eigendecomposition and Cholesky SPD solves."""
+"""LAPACK eigendecomposition and Cholesky SPD solves."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +8,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ohmlab import (
-    JacobiConvergenceError,
     NotPositiveDefiniteError,
     SymmetricMatrix,
     build_graph,
     cholesky_lower,
     cycle,
+    dump_graph,
     eigen_sym,
     laplacian,
     solve_spd,
 )
+from ohmlab.cli import main
 
 from conftest import random_connected_graph
 
@@ -25,7 +27,7 @@ def char_poly_roots(h: np.ndarray) -> np.ndarray:
     """Independent 3x3 eigenvalue oracle: roots of the characteristic polynomial.
 
     Coefficients come from trace, principal-minor sum, and determinant; roots
-    from the companion matrix, nothing shared with the Jacobi route.
+    from the companion matrix, nothing shared with the symmetric eigensolver.
     """
     tr = float(np.trace(h))
     minors = sum(
@@ -84,16 +86,17 @@ class TestEigenSym:
         assert spectrum.eigenvalues[0] == 4.0
         assert spectrum.eigenvectors[0, 0] == 1.0
 
-    def test_sweep_cap_raises_with_diagnostics(self):
-        h = laplacian(cycle(3, [1.0, 2.0, 3.0]))
-        with pytest.raises(JacobiConvergenceError) as excinfo:
-            eigen_sym(h, max_sweeps=0)
-        assert excinfo.value.off_diagonal > 0.0
-        assert excinfo.value.sweeps == 0
+    def test_lapack_failure_is_loud(self, monkeypatch, tmp_path):
+        def failing_dsyevr(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.eye(n), n, np.zeros(2 * n, dtype=np.int32), 1
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            eigen_sym(np.eye(2), tol=0.0)
+        monkeypatch.setattr("ohmlab.linalg.dsyevr", failing_dsyevr)
+        with pytest.raises(np.linalg.LinAlgError, match="dsyevr"):
+            eigen_sym(np.eye(2))
+        path = tmp_path / "g.txt"
+        path.write_text(dump_graph(cycle(3, [1.0, 2.0, 3.0])))
+        assert main(["spectrum", str(path)]) == 4
 
     @given(arrays(np.float64, (6, 6), elements=st.floats(-1, 1, width=64)))
     @settings(max_examples=80, deadline=None)
@@ -148,6 +151,23 @@ class TestEigenSym:
             mine = eigen_sym(matrix).eigenvalues
             theirs = np.linalg.eigvalsh(matrix.entries)
             assert np.allclose(mine, theirs, atol=1e-10)
+
+    def test_mpmath_oracle_on_random_laplacians(self):
+        # 50-digit eigenvalues of a Laplacian assembled in mpmath from the same
+        # edges: shares no arithmetic with LAPACK; conductance ratios up to 1e4
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            g = random_connected_graph(rng, int(rng.integers(3, 13)))
+            with mpmath.workdps(50):
+                h = mpmath.zeros(g.n)
+                for i, j, c in g.edges:
+                    h[i, j] -= c
+                    h[j, i] -= c
+                    h[i, i] += c
+                    h[j, j] += c
+                theirs = np.array([float(x) for x in sorted(mpmath.eigsy(h, eigvals_only=True))])
+            mine = eigen_sym(laplacian(g)).eigenvalues
+            assert np.max(np.abs(mine - theirs)) <= 1e-12 * theirs[-1]
 
 
 class TestSolveSpd:

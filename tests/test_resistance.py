@@ -1,5 +1,6 @@
 """Resistance distance routes, global resistance, closed forms, metric checks."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from ohmlab import (
     scale,
     three_cycle_rho,
 )
+from ohmlab.resistance import _resistance_matrix
 
 from conftest import log_uniform, random_connected_graph, random_cycle
 
@@ -93,6 +95,31 @@ class TestOracle:
         g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraphError):
             effective_resistance_oracle(g, 0, 2)
+
+
+def networkx_resistances(g):
+    """All-pairs resistance distances from networkx's Laplacian pseudo-inverse."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_weighted_edges_from(g.edges)
+    d = nx.resistance_distance(graph, weight="weight", invert_weight=False)
+    return np.array([[d[a][b] for b in range(g.n)] for a in range(g.n)])
+
+
+class TestNetworkxOracle:
+    def test_every_resistance_query_matches_networkx(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            n = int(rng.integers(3, 31))
+            g = random_connected_graph(rng, n)
+            theirs = networkx_resistances(g)
+            # the matrix metric_check tests, off its zero diagonal
+            off = ~np.eye(n, dtype=bool)
+            assert np.all(np.abs(_resistance_matrix(g) - theirs)[off] <= 1e-10 * theirs[off])
+            i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+            assert effective_resistance(g, i, j).value == pytest.approx(theirs[i, j], rel=1e-10)
+            rho = sum(theirs[a, b] for a, b, _ in g.edges)
+            assert global_resistance(g) == pytest.approx(rho, rel=1e-10)
 
 
 class TestGlobalResistance:
