@@ -13,10 +13,15 @@ import sys
 import numpy as np
 
 from .extremal import scan_family, search_counterexample, unit_cycle_baseline, verify_theorem
-from .families import FIGURE_FAMILIES, InfeasibleFamilyError, reference_conductance
+from .families import DISPUTED_REFERENCES, FIGURE_FAMILIES, InfeasibleFamilyError, reference_conductance
 from .graphs import GraphError, GraphFormatError, laplacian, load_graph
 from .linalg import eigen_sym
-from .resistance import cycle_rho_closed_form, effective_resistance, global_resistance, three_cycle_rho
+from .resistance import cycle_rho_closed_form, effective_resistance, global_resistance
+
+#: The CLI names 3-cycle edges by vertex pair, (c01, c02, c12), for ``verify``
+#: arguments and figure CSV columns; entry k is the cycle edge (c01, c12, c02)
+#: holding pair k. The permutation is its own inverse.
+_THREE_CYCLE_PAIR_ORDER = (0, 2, 1)
 
 
 def _fmt(x: float) -> str:
@@ -46,12 +51,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    conductances = (args.c01, args.c02, args.c12)
-    if not all(c > 0.0 for c in conductances):
+    pairs = (args.c01, args.c02, args.c12)
+    if not all(c > 0.0 for c in pairs):
         print("verify: conductances must all be positive", file=sys.stderr)
         return 2
     tol = args.tol if args.tol is not None else 1e-9
-    report = verify_theorem(conductances, tol=tol)
+    report = verify_theorem([pairs[k] for k in _THREE_CYCLE_PAIR_ORDER], tol=tol)
     if report.equality:
         status = "EQUALITY"
     elif report.lower_ok and report.upper_ok:
@@ -70,11 +75,7 @@ def _reference_rho(family: str, point) -> tuple[float, float]:
         return (ref if ref is not None else float("nan")), float("nan")
     conducts = list(point.conductances)
     conducts[spec.solved_edge] = ref
-    if spec.n == 3:
-        rho = three_cycle_rho(*conducts)
-    else:
-        rho = cycle_rho_closed_form(conducts)
-    return ref, rho - spec.target_rho
+    return ref, cycle_rho_closed_form(conducts) - spec.target_rho
 
 
 def _cmd_figure(args) -> int:
@@ -89,14 +90,15 @@ def _cmd_figure(args) -> int:
         print(f"figure: {exc}", file=sys.stderr)
         return 2
     skipped = len(grid) - len(rows)
-    with_reference = args.family in ("fig2", "fig4")
-
-    headers = ["param"]
+    with_reference = args.family in DISPUTED_REFERENCES
     if spec.n == 3:
-        headers += ["c_0_1", "c_0_2", "c_1_2"]
+        columns = _THREE_CYCLE_PAIR_ORDER
+        edge_names = ["c_0_1", "c_0_2", "c_1_2"]
     else:
-        headers += [f"c_{k}_{k + 1}" for k in range(spec.n - 1)] + [f"c_0_{spec.n - 1}"]
-    headers += ["rho"]
+        columns = range(spec.n)
+        edge_names = [f"c_{k}_{k + 1}" for k in range(spec.n - 1)] + [f"c_0_{spec.n - 1}"]
+
+    headers = ["param"] + edge_names + ["rho"]
     headers += [f"lambda_{k}" for k in range(1, spec.n)]
     headers += ["lambda1_rho", "lambdamax_rho"]
     if with_reference:
@@ -106,7 +108,7 @@ def _cmd_figure(args) -> int:
     max_reference_err = 0.0
     for point in rows:
         cells = [repr(point.parameter)]
-        cells += [repr(c) for c in point.conductances]
+        cells += [repr(point.conductances[k]) for k in columns]
         cells.append(repr(point.rho))
         cells += [repr(v) for v in point.eigenvalues[1:]]
         cells.append(repr(point.lambda1_rho))
@@ -184,10 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("verify", help="check lambda1*rho <= 6 <= lambda2*rho for a 3-cycle")
-    p.add_argument("c01", type=float)
-    p.add_argument("c02", type=float)
-    p.add_argument("c12", type=float)
+    p = sub.add_parser("verify", help="check lambda1*rho <= 6 <= lambda2*rho for a 3-cycle",
+                       description="Check lambda1*rho <= 6 <= lambda2*rho for the 3-cycle with "
+                                   "conductances c01, c02, c12 on the vertex pairs (0,1), (0,2), "
+                                   "(1,2); they are passed on in cycle edge order (c01, c12, c02).")
+    p.add_argument("c01", type=float, help="conductance between vertices 0 and 1")
+    p.add_argument("c02", type=float, help="conductance between vertices 0 and 2")
+    p.add_argument("c12", type=float, help="conductance between vertices 1 and 2")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("figure", help="emit CSV data for a catalogued conductance family")

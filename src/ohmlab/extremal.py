@@ -17,15 +17,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .families import (
-    CyclePoint,
-    InfeasibleFamilyError,
-    figure_family,
-    solve_third_conductance,
-    three_cycle_laplacian,
-)
+from .families import CyclePoint, InfeasibleFamilyError, figure_family, solve_last_cycle_conductance
+from .graphs import cycle, laplacian
 from .linalg import eigen_sym
-from .resistance import three_cycle_rho
+from .resistance import cycle_rho_closed_form
 
 THREE_CYCLE_PRODUCT_BOUND = 6.0
 #: Relative excess over the unit-cycle baseline that counts as a counterexample;
@@ -99,7 +94,7 @@ class SearchReport:
 
 
 def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremReport:
-    """Check lambda_1 rho <= 6 <= lambda_2 rho for one 3-cycle.
+    """Check lambda_1 rho <= 6 <= lambda_2 rho for the 3-cycle (c01, c12, c02).
 
     ``tol`` is relative: the lower bound passes when lambda_1 rho <= 6 (1+tol),
     the upper when lambda_2 rho >= 6 (1-tol), and equality is flagged when both
@@ -110,8 +105,8 @@ def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremR
         raise ValueError(f"expected 3 conductances, got {len(values)}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    rho = three_cycle_rho(*values)
-    spectrum = eigen_sym(three_cycle_laplacian(*values))
+    rho = cycle_rho_closed_form(values)
+    spectrum = eigen_sym(laplacian(cycle(3, values)))
     lambda1_rho = float(spectrum.eigenvalues[1]) * rho
     lambdamax_rho = float(spectrum.eigenvalues[2]) * rho
     bound = THREE_CYCLE_PRODUCT_BOUND
@@ -195,10 +190,10 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
     eigenvalues = []
     for r in grid:
         try:
-            z = solve_third_conductance(b, r, 2.0)
+            z = solve_last_cycle_conductance((b, r), 2.0)
         except InfeasibleFamilyError:
             continue
-        spectrum = eigen_sym(three_cycle_laplacian(z, b, r))
+        spectrum = eigen_sym(laplacian(cycle(3, (z, b, r))))
         eigenvalues.append(float(spectrum.eigenvalues[eig_index]))
     if len(eigenvalues) < 2:
         raise ValueError(f"fewer than two feasible grid points for {check} at b={b!r}")

@@ -2,13 +2,17 @@
 
 Each family fixes all but one edge conductance through formulas in a single
 parameter and solves the remaining one so that the cycle's global resistance
-hits a target value. Constraint solvers are the source of truth for the free
+hits a target value. The constraint solver is the source of truth for the free
 conductance; the catalogued closed-form expressions for families ``fig2`` and
 ``fig4`` fail the constant-resistance check and are kept only as reference
 curves so the discrepancy stays visible (see ``reference_conductance``).
 
-Conductance tuples for 3-cycles are ordered (c01, c02, c12), matching
-``three_cycle_rho``; longer cycles use edge order (c01, c12, ..., c_{n-1,0}).
+Every conductance tuple, 3-cycles included, is in cycle edge order
+(c01, c12, ..., c_{n-1,0}), the order of :func:`~ohmlab.graphs.cycle`, and one
+solver, :func:`solve_last_cycle_conductance`, supplies the free edge of every
+family. Only :func:`three_cycle_graph` and :func:`three_cycle_laplacian` take
+the vertex-pair order (c01, c02, c12), which the CLI also uses for ``verify``
+arguments and the 3-cycle columns of its figure CSVs.
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from .graphs import WeightedGraph, build_graph, cycle, laplacian
+from .graphs import WeightedGraph, cycle, laplacian
 from .linalg import SymmetricMatrix, eigen_sym
-from .resistance import global_resistance
+from .resistance import global_resistance, resistance_sums
 
 THREE_CYCLE_TARGET_RHO = 2.0
 FOUR_CYCLE_TARGET_RHO = 3.0
@@ -78,35 +80,24 @@ class ClosedFormEigenvalues(NamedTuple):
 
 
 def three_cycle_graph(c01: float, c02: float, c12: float) -> WeightedGraph:
-    """3-cycle from the (c01, c02, c12) conductance triple."""
-    return build_graph(3, [(0, 1, c01), (0, 2, c02), (1, 2, c12)])
+    """3-cycle from the vertex-pair triple (c01, c02, c12), i.e. cycle(3, (c01, c12, c02))."""
+    return cycle(3, (c01, c12, c02))
 
 
 def three_cycle_laplacian(c01: float, c02: float, c12: float) -> SymmetricMatrix:
-    """Laplacian of the 3-cycle without going through graph construction."""
-    return SymmetricMatrix(np.array([
-        [c01 + c02, -c01, -c02],
-        [-c01, c01 + c12, -c12],
-        [-c02, -c12, c02 + c12],
-    ]))
+    """Laplacian of the 3-cycle with vertex-pair conductances (c01, c02, c12)."""
+    return laplacian(three_cycle_graph(c01, c02, c12))
 
 
-def _graph_from_tuple(n: int, conductances: Sequence[float]) -> WeightedGraph:
-    if n == 3:
-        return three_cycle_graph(*conductances)
-    return cycle(n, list(conductances))
-
-
-def _realize(family: str, n: int, parameter: float,
-             conductances: Sequence[float]) -> CyclePoint:
+def _realize(family: str, parameter: float, conductances: Sequence[float]) -> CyclePoint:
     values = tuple(float(c) for c in conductances)
     for c in values:
-        if not (np.isfinite(c) and c > 0.0):
+        if not (math.isfinite(c) and c > 0.0):
             raise InfeasibleFamilyError(
                 f"family {family!r} at parameter {parameter!r}: "
                 f"conductances {values} are not all positive"
             )
-    graph = _graph_from_tuple(n, values)
+    graph = cycle(len(values), values)
     spectrum = eigen_sym(laplacian(graph))
     rho = global_resistance(graph)
     eigenvalues = tuple(float(x) for x in spectrum.eigenvalues)
@@ -122,7 +113,7 @@ def _realize(family: str, n: int, parameter: float,
 
 
 def two_equal_family(b: float) -> CyclePoint:
-    """3-cycle with two conductances b and the third b(2-b)/(2b-1), so rho = 2.
+    """3-cycle (b(2-b)/(2b-1), b, b), whose global resistance is 2.
 
     Positivity of the solved conductance restricts b to the open interval
     (1/2, 2); b = 2 would give a zero conductance, i.e. a path, and is
@@ -134,7 +125,7 @@ def two_equal_family(b: float) -> CyclePoint:
             f"two-equal family needs b strictly inside (1/2, 2), got {b!r}"
         )
     c01 = b * (2.0 - b) / (2.0 * b - 1.0)
-    return _realize("two-equal", 3, b, (c01, b, b))
+    return _realize("two-equal", b, (c01, b, b))
 
 
 def two_equal_eigenvalues(b: float) -> ClosedFormEigenvalues:
@@ -154,67 +145,52 @@ def two_equal_eigenvalues(b: float) -> ClosedFormEigenvalues:
 
 
 def solve_third_conductance(x: float, y: float, target_rho: float) -> float:
-    """Conductance z making the 3-cycle (z, x, y) have global resistance target_rho.
-
-    Solves 2(z+x+y) = rho (zx + zy + xy) for z; infeasible pairs (vanishing
-    denominator or non-positive z) raise :class:`InfeasibleFamilyError`.
-    """
-    if not (x > 0.0 and y > 0.0):
-        raise InfeasibleFamilyError(f"fixed conductances must be positive, got ({x!r}, {y!r})")
-    if not target_rho > 0.0:
-        raise InfeasibleFamilyError(f"target rho must be positive, got {target_rho!r}")
-    denominator = 2.0 - target_rho * (x + y)
-    if abs(denominator) <= _DENOMINATOR_FLOOR:
-        raise InfeasibleFamilyError(
-            f"infeasible pair for target rho: denominator {denominator!r} vanishes "
-            f"at (x={x!r}, y={y!r}, rho={target_rho!r})"
-        )
-    z = (target_rho * x * y - 2.0 * (x + y)) / denominator
-    if not z > 0.0:
-        raise InfeasibleFamilyError(
-            f"infeasible pair for target rho: solved conductance {z!r} is not positive "
-            f"at (x={x!r}, y={y!r}, rho={target_rho!r})"
-        )
-    return z
+    """Conductance z making the 3-cycle (z, x, y) have global resistance target_rho."""
+    return solve_last_cycle_conductance((x, y), target_rho)
 
 
 def solve_last_cycle_conductance(known: Sequence[float], target_rho: float) -> float:
     """Remaining conductance of an n-cycle with n-1 edges known and rho prescribed.
 
-    In resistance terms, with S and P the sum and sum of squares of the known
-    edge resistances, the missing resistance is t = (rho S - S^2 + P)/(2S - rho).
+    In resistance terms, with S the sum of the known edge resistances and E
+    the sum of their pairwise products, the missing resistance is
+    t = (rho S - 2E)/(2S - rho). Works on plain floats: callers pass two or
+    three knowns, where numpy's per-call overhead would dominate. Infeasible
+    input (a vanishing denominator or t <= 0) raises
+    :class:`InfeasibleFamilyError`.
     """
-    c = np.asarray(known, dtype=float)
-    if c.ndim != 1 or c.size < 2:
-        raise InfeasibleFamilyError(f"need at least 2 known conductances, got {c.size}")
-    if not np.all(c > 0.0):
-        raise InfeasibleFamilyError("known conductances must all be positive")
+    try:
+        values = [float(c) for c in known]
+    except TypeError:
+        raise InfeasibleFamilyError(f"known conductances must be a flat sequence of reals, got {known!r}") from None
+    if len(values) < 2:
+        raise InfeasibleFamilyError(f"need at least 2 known conductances, got {len(values)}")
+    if not all(c > 0.0 for c in values):
+        raise InfeasibleFamilyError(f"known conductances must all be positive, got {values}")
     if not target_rho > 0.0:
         raise InfeasibleFamilyError(f"target rho must be positive, got {target_rho!r}")
-    r = 1.0 / c
-    s = float(r.sum())
-    p = float(r @ r)
+    s, e = resistance_sums(values)
     denominator = 2.0 * s - target_rho
     if abs(denominator) <= _DENOMINATOR_FLOOR:
         raise InfeasibleFamilyError(
             f"infeasible known edges for target rho: denominator {denominator!r} vanishes "
             f"(S={s!r}, rho={target_rho!r})"
         )
-    t = (target_rho * s - s * s + p) / denominator
+    t = (target_rho * s - 2.0 * e) / denominator
     if not t > 0.0:
         raise InfeasibleFamilyError(
             f"infeasible known edges for target rho: solved resistance {t!r} is not positive "
-            f"(S={s!r}, P={p!r}, rho={target_rho!r})"
+            f"(S={s!r}, E={e!r}, rho={target_rho!r})"
         )
     return 1.0 / t
 
 
+# Edge k joins vertices k and k+1 (mod n): 3-cycles (0: c01, 1: c12, 2: c02)
+# at rho = 2, 4-cycles (0: c01, 1: c12, 2: c23, 3: c03) at rho = 3.
 FIGURE_FAMILIES: dict[str, FamilySpec] = {
-    # 3-cycles, rho = 2; edge positions are (0: c01, 1: c02, 2: c12).
     "fig1": FamilySpec("fig1", 3, ((1, lambda b: b), (2, lambda b: b)), 0, THREE_CYCLE_TARGET_RHO),
-    "fig2": FamilySpec("fig2", 3, ((1, lambda r: r), (2, lambda r: 1.5)), 0, THREE_CYCLE_TARGET_RHO),
-    "fig3": FamilySpec("fig3", 3, ((0, lambda r: 0.75), (1, lambda r: r)), 2, THREE_CYCLE_TARGET_RHO),
-    # 4-cycles, rho = 3; edge positions are (0: c01, 1: c12, 2: c23, 3: c03).
+    "fig2": FamilySpec("fig2", 3, ((1, lambda r: 1.5), (2, lambda r: r)), 0, THREE_CYCLE_TARGET_RHO),
+    "fig3": FamilySpec("fig3", 3, ((0, lambda r: 0.75), (2, lambda r: r)), 1, THREE_CYCLE_TARGET_RHO),
     "fig4": FamilySpec("fig4", 4, ((1, lambda c: 1.0 / c), (2, lambda c: c), (3, lambda c: 1.0)), 0,
                        FOUR_CYCLE_TARGET_RHO),
     "fig5": FamilySpec("fig5", 4, ((1, lambda c: 1.0 / c), (2, lambda c: c), (3, lambda c: (c + 1.0) / 2.0)), 0,
@@ -262,16 +238,12 @@ def figure_family(family: str, param: float) -> CyclePoint:
     conductances: list[float | None] = [None] * spec.n
     for idx, formula in spec.fixed:
         value = float(formula(param))
-        if not (np.isfinite(value) and value > 0.0):
+        if not (math.isfinite(value) and value > 0.0):
             raise InfeasibleFamilyError(
                 f"family {family!r} at parameter {param!r}: fixed edge {idx} "
                 f"has non-positive value {value!r}"
             )
         conductances[idx] = value
     known = [c for c in conductances if c is not None]
-    if spec.n == 3:
-        solved = solve_third_conductance(known[0], known[1], spec.target_rho)
-    else:
-        solved = solve_last_cycle_conductance(known, spec.target_rho)
-    conductances[spec.solved_edge] = solved
-    return _realize(family, spec.n, param, conductances)
+    conductances[spec.solved_edge] = solve_last_cycle_conductance(known, spec.target_rho)
+    return _realize(family, param, conductances)

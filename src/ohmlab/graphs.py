@@ -8,6 +8,7 @@ all downstream floating-point accumulation, is deterministic.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -65,7 +66,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedGrap
             raise GraphError(f"loop edge not allowed: {entry!r}")
         if not (0 <= i < n and 0 <= j < n):
             raise GraphError(f"vertex index out of range for n={n}: {entry!r}")
-        if not c > 0.0 or not np.isfinite(c):
+        if not c > 0.0 or not math.isfinite(c):
             raise GraphError(f"conductance must be a positive finite real: {entry!r}")
         if i > j:
             i, j = j, i
@@ -87,7 +88,7 @@ def cycle(n: int, conductances: Sequence[float]) -> WeightedGraph:
     if len(conductances) != n:
         raise GraphError(f"expected {n} conductances, got {len(conductances)}")
     edges = [(k, (k + 1) % n, float(c)) for k, c in enumerate(conductances)]
-    return WeightedGraph(n=n, edges=build_graph(n, edges).edges)
+    return build_graph(n, edges)
 
 
 def laplacian(g: WeightedGraph) -> SymmetricMatrix:

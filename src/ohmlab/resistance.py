@@ -116,20 +116,36 @@ def three_cycle_rho(c01: float, c02: float, c12: float) -> float:
     return 2.0 * (c01 + c02 + c12) / (c01 * c02 + c01 * c12 + c02 * c12)
 
 
+def resistance_sums(conductances: Sequence[float]) -> tuple[float, float]:
+    """(S, E) of edges in series: the sum of the resistances r_e = 1/c_e and
+    the sum of their pairwise products r_e r_f over e < f, on plain floats."""
+    total = 0.0
+    pairs = 0.0
+    for c in conductances:
+        r = 1.0 / c
+        pairs += r * total
+        total += r
+    return total, pairs
+
+
 def cycle_rho_closed_form(conductances: Sequence[float]) -> float:
     """Global resistance of an n-cycle by series-parallel reduction.
 
-    With edge resistances r_e = 1/c_e and R their sum, each adjacent pair
-    sees r_e (R - r_e) / R, so the total is R - (sum of r_e^2) / R.
+    With edge resistances r_e = 1/c_e and S their sum, each adjacent pair
+    sees r_e (S - r_e) / S, so the total is (S^2 - sum of r_e^2) / S = 2E/S,
+    E being the sum of the pairwise products r_e r_f. E adds positive terms
+    only, so the result keeps full relative accuracy at any conductance ratio.
     """
-    c = np.asarray(conductances, dtype=float)
-    if c.ndim != 1 or c.size < 3:
-        raise GraphError(f"a cycle needs at least 3 conductances, got {c.size}")
-    if not np.all(c > 0.0):
+    try:
+        values = [float(c) for c in conductances]
+    except TypeError:
+        raise GraphError(f"conductances must be a flat sequence of reals, got {conductances!r}") from None
+    if len(values) < 3:
+        raise GraphError(f"a cycle needs at least 3 conductances, got {len(values)}")
+    if not all(c > 0.0 for c in values):
         raise GraphError("conductances must all be positive")
-    r = 1.0 / c
-    total = float(r.sum())
-    return total - float(r @ r) / total
+    total, pairs = resistance_sums(values)
+    return 2.0 * pairs / total
 
 
 def metric_check(g: WeightedGraph, tol: float = 1e-10) -> bool:
@@ -137,15 +153,18 @@ def metric_check(g: WeightedGraph, tol: float = 1e-10) -> bool:
 
     Checks symmetry of the computed resistance matrix (R_ij and R_ji come
     from the two off-diagonal entries of the computed inverse) and the
-    triangle inequality over all vertex triples, each with slack ``tol``.
+    triangle inequality over all vertex triples. ``tol`` is relative: each
+    check has slack ``tol`` times the largest resistance, so the verdict does
+    not change when every conductance is scaled by the same factor.
     """
     _require_connected(g)
     d = _resistance_matrix(g)
-    if np.max(np.abs(d - d.T)) > tol:
+    slack = tol * float(d.max())
+    if np.max(np.abs(d - d.T)) > slack:
         return False
     for b in range(g.n):
         # d(a, c) <= d(a, b) + d(b, c) for every a, c through the middle vertex b;
         # repeated vertices need no exclusion because the diagonal is exactly zero
-        if np.any(d > d[:, b, None] + d[None, b, :] + tol):
+        if np.any(d > d[:, b, None] + d[None, b, :] + slack):
             return False
     return True

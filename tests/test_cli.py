@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ohmlab import scan_family
+from ohmlab import cycle_rho_closed_form, scan_family, three_cycle_rho
 from ohmlab.cli import main
 
 UNIT_THREE = "n 3\n0 1 1\n0 2 1\n1 2 1\n"
@@ -164,6 +164,40 @@ class TestFigureCommand:
         assert headers[-2:] == ["reference_c", "reference_rho_err"]
         rho_col = [r[headers.index("rho")] for r in rows]
         assert max(abs(v - 3.0) for v in rho_col) <= 1e-10 * 3.0
+
+    @pytest.mark.parametrize("family,lo,hi", [
+        ("fig1", "0.6", "1.9"),
+        ("fig2", "0.2", "2.8"),
+        ("fig3", "0.3", "3.0"),
+        ("fig4", "0.4", "2.5"),
+        ("fig5", "0.4", "2.5"),
+    ])
+    def test_conductance_columns_hold_their_edges(self, tmp_path, family, lo, hi):
+        # 3-cycle columns name vertex pairs (c_0_1, c_0_2, c_1_2), while the
+        # families hold cycle edge order (c01, c12, c02)
+        out = str(tmp_path / f"{family}.csv")
+        assert main(["figure", family, lo, hi, "15", "--out", out]) == 0
+        headers, rows, _ = parse_csv(out)
+        assert len(rows) == 15
+        for row in rows:
+            cell = dict(zip(headers, row))
+            param = cell["param"]
+            if family == "fig1":
+                assert cell["c_0_2"] == param and cell["c_1_2"] == param
+                assert cell["c_0_1"] == pytest.approx(param * (2 - param) / (2 * param - 1), rel=1e-12)
+            elif family == "fig2":
+                assert cell["c_0_2"] == param and cell["c_1_2"] == 1.5
+            elif family == "fig3":
+                assert cell["c_0_1"] == 0.75 and cell["c_0_2"] == param
+                assert cell["c_1_2"] == pytest.approx((param + 3) / (4 * param - 1), rel=1e-12)
+            else:
+                assert cell["c_1_2"] == 1.0 / param and cell["c_2_3"] == param
+                assert cell["c_0_3"] == (1.0 if family == "fig4" else (param + 1.0) / 2.0)
+            if family in ("fig1", "fig2", "fig3"):
+                rho = three_cycle_rho(cell["c_0_1"], cell["c_0_2"], cell["c_1_2"])
+            else:
+                rho = cycle_rho_closed_form([cell[k] for k in ("c_0_1", "c_1_2", "c_2_3", "c_0_3")])
+            assert rho == pytest.approx(cell["rho"], rel=1e-12)
 
     def test_skipped_points_counted(self, tmp_path):
         out = str(tmp_path / "fig1.csv")

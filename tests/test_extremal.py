@@ -210,7 +210,7 @@ class TestSearch:
     def test_six_cycle_finds_product_above_baseline(self):
         # a genuine feature of the landscape: the smallest positive eigenvalue
         # times rho can exceed the unit 6-cycle value; verified independently
-        # through the Jacobi + block-elimination routes below
+        # through eigen_sym and global_resistance below
         report = search_counterexample(6, restarts=10, iters_per_restart=500, seed=0)
         assert report.counterexample
         assert report.best_max_product > report.baseline_low * (1.0 + 1e-7)
@@ -256,7 +256,7 @@ class TestSearch:
         rho = global_resistance(cycle(4, conducts.tolist()))
         assert low_b == pytest.approx(lam[1] * rho, rel=1e-10)
 
-    def test_jacobi_cross_checks_search_eigensolver(self):
+    def test_eigen_sym_cross_checks_search_eigensolver(self):
         rng = np.random.default_rng(33)
         products = _product_evaluator(5)
         for _ in range(20):

@@ -81,15 +81,15 @@ class TestOracle:
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert effective_resistance_oracle(g, 0, 2) == pytest.approx(2.0, rel=1e-14)
 
-    def test_matches_schur_route(self):
+    def test_matches_resistance_matrix_route(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
             n = int(rng.integers(3, 11))
             g = random_connected_graph(rng, n)
             i, j = rng.choice(n, size=2, replace=False)
-            schur = effective_resistance(g, int(i), int(j)).value
+            matrix = effective_resistance(g, int(i), int(j)).value
             grounded = effective_resistance_oracle(g, int(i), int(j))
-            assert abs(schur - grounded) <= 1e-10 * schur
+            assert abs(matrix - grounded) <= 1e-10 * matrix
 
     def test_rejects_disconnected(self):
         g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -176,7 +176,7 @@ class TestCycleClosedForm:
     def test_unit_four_cycle(self):
         assert cycle_rho_closed_form([1.0, 1.0, 1.0, 1.0]) == 3.0
 
-    def test_matches_schur_route_on_random_cycles(self):
+    def test_matches_global_resistance_on_random_cycles(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
             n = int(rng.integers(3, 13))
@@ -199,6 +199,11 @@ class TestCycleClosedForm:
     def test_rejects_non_positive(self):
         with pytest.raises(GraphError):
             cycle_rho_closed_form([1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [5.0, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
+    def test_rejects_non_flat_input(self, bad):
+        with pytest.raises(GraphError, match="flat sequence"):
+            cycle_rho_closed_form(bad)
 
 
 def _cycle_edge_order(n):
@@ -226,6 +231,14 @@ class TestMetricCheck:
         for _ in range(15):
             g = random_connected_graph(rng, int(rng.integers(3, 9)), c_lo=0.1, c_hi=10.0)
             assert metric_check(g)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e6])
+    def test_slack_is_relative_to_resistance_scale(self, alpha):
+        # an absolute slack flagged 9 of these 50 as violated at alpha = 1e-6
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            g = random_connected_graph(rng, 20)
+            assert metric_check(scale(g, alpha))
 
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
