@@ -24,7 +24,8 @@ def verify_independently(report):
     """Recompute the flagged product via ``eigen_sym`` and ``global_resistance``.
 
     Both routes are separate from the search's own evaluator, which takes
-    eigenvalues from LAPACK ``syev`` and rho from the cycle closed form.
+    eigenvalues from one stacked ``numpy.linalg.eigvalsh`` call per batch of
+    points and rho from the series closed form 2E/S.
     """
     g = ol.cycle(report.n, list(report.best_max_conductances))
     lam1 = ol.eigen_sym(ol.laplacian(g)).eigenvalues[1]

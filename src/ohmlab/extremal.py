@@ -5,7 +5,9 @@ positive Laplacian eigenvalues with the global resistance are bounded by 6
 from above and below respectively, with equality exactly at equal weights.
 This module verifies that bound, realizes the monotonicity statements behind
 it as numerical scans, and searches larger cycles for counterexamples to the
-analogous extremality of equal weights using scale-free Nelder-Mead runs.
+analogous extremality of equal weights using scale-free Nelder-Mead runs. The
+search advances every restart and both directions together, so each step
+evaluates its points with one stacked ``numpy.linalg.eigvalsh`` call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .families import CyclePoint, InfeasibleFamilyError, figure_family, solve_last_cycle_conductance
 from .graphs import cycle, laplacian
@@ -66,13 +67,27 @@ class MonotonicityResult(NamedTuple):
 
 @dataclass(frozen=True)
 class RestartBest:
-    """Best products found by one restart of each search direction."""
+    """Best products found by one restart of each search direction.
+
+    Per direction, ``iterations`` counts Nelder-Mead iterations, ``evaluations``
+    product evaluations, ``converged`` tells whether the simplex diameter fell
+    below 1e-9 before the iteration cap, and ``nonfinite`` counts evaluations
+    whose product was NaN or infinite.
+    """
 
     restart: int
     max_product: float
     max_conductances: tuple[float, ...]
     min_product: float
     min_conductances: tuple[float, ...]
+    max_iterations: int
+    max_evaluations: int
+    max_converged: bool
+    max_nonfinite: int
+    min_iterations: int
+    min_evaluations: int
+    min_converged: bool
+    min_nonfinite: int
 
 
 @dataclass(frozen=True)
@@ -202,103 +217,145 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
     return MonotonicityResult(ok=bool(worst >= -tol), worst_margin=worst)
 
 
-def _product_evaluator(n: int) -> Callable[[np.ndarray], tuple[float, float]]:
-    """(lambda_1 rho, lambda_max rho) of the n-cycle with log-conductances (0, x...).
+def _product_evaluator(n: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(lambda_1 rho, lambda_max rho) of n-cycles with log-conductances (0, x...).
 
-    Pinning the first coordinate removes the scale gauge: the products are
-    invariant under global conductance scaling. Uses eigenvalue-only LAPACK
-    ``syev`` on a reused buffer for speed; the test suite cross-checks it
-    against :func:`eigen_sym` and :func:`global_resistance`. Points whose
-    conductances would overflow or underflow yield (nan, nan).
+    Takes an (m, n-1) stack of points and returns two length-m arrays. Pinning
+    the first coordinate removes the scale gauge: the products are invariant
+    under global conductance scaling. The m Laplacians are assembled into one
+    stack whose eigenvalues come from a single ``numpy.linalg.eigvalsh`` call,
+    and rho is the cancellation-free 2E/S of ``resistance.resistance_sums``,
+    with E summed over a cumulative sum; the test suite checks both against
+    :func:`eigen_sym`, :func:`global_resistance` and mpmath. Rows whose
+    conductances would overflow or underflow, and rows LAPACK fails on, yield
+    (nan, nan).
     """
     indices = np.arange(n)
     successors = np.roll(indices, -1)
     predecessors = np.roll(indices, 1)
-    h = np.empty((n, n))
-    logs = np.empty(n)
-    conducts = np.empty(n)
-    syev, = get_lapack_funcs(("syev",), (h,))
+    # flat positions of H[k, k+1], H[k+1, k] and H[k, k] in a row-major n x n matrix
+    upper = indices * n + successors
+    lower = successors * n + indices
+    diagonal = indices * (n + 1)
 
-    def products(x: np.ndarray) -> tuple[float, float]:
-        logs[0] = 0.0
-        logs[1:] = x
+    def products(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = len(x)
+        logs = np.zeros((m, n))
+        logs[:, 1:] = x
         # exp stays finite and positive on |log| <= 700; NaN also fails here
-        if not float(np.abs(logs).max()) <= 700.0:
-            return math.nan, math.nan
-        np.exp(logs, out=conducts)
-        h.fill(0.0)
-        h[indices, successors] = -conducts
-        h[successors, indices] = -conducts
-        h[indices, indices] = conducts + conducts[predecessors]
-        w, _, info = syev(h, compute_v=0, overwrite_a=1)
-        if info != 0:
-            return math.nan, math.nan
+        invalid = ~(np.abs(logs).max(axis=1) <= 700.0)
+        logs[invalid] = 0.0
+        conducts = np.exp(logs)
+        h = np.zeros((m, n * n))
+        h[:, upper] = -conducts
+        h[:, lower] = -conducts
+        h[:, diagonal] = conducts + conducts[:, predecessors]
+        h = h.reshape(m, n, n)
+        try:
+            w = np.linalg.eigvalsh(h)
+        except np.linalg.LinAlgError:
+            # numpy fails the whole stack when one matrix fails; keep the others
+            w = np.full((m, n), math.nan)
+            for row in range(m):
+                try:
+                    w[row] = np.linalg.eigvalsh(h[row])
+                except np.linalg.LinAlgError:
+                    pass
         r = 1.0 / conducts
-        total = float(r.sum())
-        rho = total - float(r @ r) / total
-        return float(w[1]) * rho, float(w[-1]) * rho
+        total = r.sum(axis=1)
+        pairs = (r[:, 1:] * np.cumsum(r, axis=1)[:, :-1]).sum(axis=1)
+        rho = 2.0 * pairs / total
+        rho[invalid] = math.nan
+        return w[:, 1] * rho, w[:, -1] * rho
 
     return products
 
 
-def _squared_diameter(points: np.ndarray) -> float:
-    diff = points[:, None, :] - points[None, :, :]
-    return float((diff * diff).sum(axis=-1).max())
+class _LaneResults(NamedTuple):
+    """Per-lane outcome of :func:`_nelder_mead`, each field indexed by lane."""
+
+    points: np.ndarray
+    values: np.ndarray
+    iterations: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
+    nonfinite: np.ndarray
 
 
-def _nelder_mead(fn: Callable[[np.ndarray], float], initial_simplex: np.ndarray,
-                 max_iters: int) -> tuple[np.ndarray, float, int]:
-    """Minimize fn, stopping when the simplex diameter drops below 1e-9.
+def _nelder_mead(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], simplices: np.ndarray,
+                 max_iters: int) -> _LaneResults:
+    """Minimize fn on every lane of a (lanes, dim+1, dim) simplex stack in lockstep.
 
-    Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    Returns (best point, best value, iterations used).
+    ``fn(points, lanes)`` evaluates a stack of points, point i belonging to
+    lane ``lanes[i]``. Each lane follows the scalar method exactly and
+    independently of the others: coefficients reflection 1, expansion 2,
+    contraction 0.5 and shrink 0.5, a stable sort of the vertices every
+    iteration, and a stop when the simplex diameter drops below 1e-9
+    (``converged``) or after ``max_iters`` iterations. A step evaluates the
+    reflections of all running lanes in one batch, the expansions and both
+    contractions in a second and the shrinks in a third.
     """
-    points = np.array(initial_simplex, dtype=float)
-    values = np.array([fn(p) for p in points])
-    iterations = 0
-    while iterations < max_iters:
-        order = np.argsort(values, kind="stable")
-        points = points[order]
-        values = values[order]
-        if _squared_diameter(points) < _DIAMETER_TOL * _DIAMETER_TOL:
+    points = np.array(simplices, dtype=float)
+    count, size, dim = points.shape
+    values = fn(points.reshape(-1, dim), np.repeat(np.arange(count), size)).reshape(count, size)
+    evaluations = np.full(count, size)
+    nonfinite = np.count_nonzero(~np.isfinite(values), axis=1)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+
+    def evaluate(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        f = fn(x, lanes)
+        evaluations[:] += np.bincount(lanes, minlength=count)
+        nonfinite[:] += np.bincount(lanes[~np.isfinite(f)], minlength=count)
+        return f
+
+    while True:
+        lanes = np.flatnonzero(~converged & (iterations < max_iters))
+        order = np.argsort(values[lanes], axis=1, kind="stable")
+        p = np.take_along_axis(points[lanes], order[:, :, None], axis=1)
+        v = np.take_along_axis(values[lanes], order, axis=1)
+        diff = p[:, :, None, :] - p[:, None, :, :]
+        squared_diameter = (diff * diff).sum(axis=-1).max(axis=(1, 2), initial=0.0)
+        small = squared_diameter < _DIAMETER_TOL * _DIAMETER_TOL
+        converged[lanes[small]] = True
+        lanes, p, v = lanes[~small], p[~small], v[~small]
+        if lanes.size == 0:
             break
-        iterations += 1
-        centroid = points[:-1].mean(axis=0)
-        direction = centroid - points[-1]
+        iterations[lanes] += 1
+        centroid = p[:, :-1].mean(axis=1)
+        direction = centroid - p[:, -1]
         reflected = centroid + _REFLECTION * direction
-        f_reflected = fn(reflected)
-        if values[0] <= f_reflected < values[-2]:
-            points[-1] = reflected
-            values[-1] = f_reflected
-            continue
-        if f_reflected < values[0]:
-            expanded = centroid + _EXPANSION * direction
-            f_expanded = fn(expanded)
-            if f_expanded < f_reflected:
-                points[-1] = expanded
-                values[-1] = f_expanded
-            else:
-                points[-1] = reflected
-                values[-1] = f_reflected
-            continue
-        if f_reflected < values[-1]:
-            contracted = centroid + _CONTRACTION * direction
-            f_contracted = fn(contracted)
-            if f_contracted <= f_reflected:
-                points[-1] = contracted
-                values[-1] = f_contracted
-                continue
-        else:
-            contracted = centroid - _CONTRACTION * direction
-            f_contracted = fn(contracted)
-            if f_contracted < values[-1]:
-                points[-1] = contracted
-                values[-1] = f_contracted
-                continue
-        points[1:] = points[0] + _SHRINK * (points[1:] - points[0])
-        values[1:] = [fn(p) for p in points[1:]]
-    order = np.argsort(values, kind="stable")
-    return points[order[0]], float(values[order[0]]), iterations
+        f_reflected = evaluate(reflected, lanes)
+        best, second, worst = v[:, 0], v[:, -2], v[:, -1]
+        probe = ~((best <= f_reflected) & (f_reflected < second))
+        expand = f_reflected < best
+        outside = ~expand & (f_reflected < worst)
+        coef = np.where(expand, _EXPANSION, np.where(outside, _CONTRACTION, -_CONTRACTION))
+        tried = np.flatnonzero(probe)
+        trial = centroid[tried] + coef[tried, None] * direction[tried]
+        f_trial = evaluate(trial, lanes[tried])
+        f_ref = f_reflected[tried]
+        take = np.where(expand[tried], f_trial < f_ref,
+                        np.where(outside[tried], f_trial <= f_ref, f_trial < worst[tried]))
+        new_point, new_value = reflected, f_reflected
+        new_point[tried[take]] = trial[take]
+        new_value[tried[take]] = f_trial[take]
+        shrink = np.zeros(lanes.size, dtype=bool)
+        shrink[tried[~take & ~expand[tried]]] = True
+        p[~shrink, -1] = new_point[~shrink]
+        v[~shrink, -1] = new_value[~shrink]
+        if shrink.any():
+            s = p[shrink]
+            s[:, 1:] = s[:, :1] + _SHRINK * (s[:, 1:] - s[:, :1])
+            p[shrink] = s
+            v[shrink, 1:] = evaluate(s[:, 1:].reshape(-1, dim),
+                                     np.repeat(lanes[shrink], size - 1)).reshape(-1, size - 1)
+        points[lanes] = p
+        values[lanes] = v
+    first = np.argsort(values, axis=1, kind="stable")[:, 0]
+    every = np.arange(count)
+    return _LaneResults(points[every, first], values[every, first], iterations, evaluations,
+                        converged, nonfinite)
 
 
 def search_counterexample(n: int, restarts: int = 200, iters_per_restart: int = 500,
@@ -307,8 +364,10 @@ def search_counterexample(n: int, restarts: int = 200, iters_per_restart: int = 
 
     Each restart draws fresh simplex vertices log-uniformly in [-3, 3] per
     coordinate from a stream derived from (seed, restart index), then runs one
-    Nelder-Mead per direction. A counterexample is flagged when a product
-    beats its unit-cycle baseline by more than a relative 1e-7.
+    Nelder-Mead per direction; all restarts and both directions advance in
+    lockstep as lanes 2k (maximizing) and 2k+1 (minimizing) of one
+    :func:`_nelder_mead`. A counterexample is flagged when a product beats its
+    unit-cycle baseline by more than a relative 1e-7.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"cycle length must be an integer >= 3, got {n!r}")
@@ -323,32 +382,42 @@ def search_counterexample(n: int, restarts: int = 200, iters_per_restart: int = 
     baseline_low = base.lambda1 * base.rho
     baseline_high = base.lambda_max * base.rho
     products = _product_evaluator(n)
+    maximize = np.arange(2 * restarts) % 2 == 0
 
-    def objective_max(x: np.ndarray) -> float:
-        low, _ = products(x)
-        return -low if math.isfinite(low) else math.inf
-
-    def objective_min(x: np.ndarray) -> float:
-        _, high = products(x)
-        return high if math.isfinite(high) else math.inf
+    def objective(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        low, high = products(x)
+        value = np.where(maximize[lanes], -low, high)
+        value[~np.isfinite(value)] = math.inf
+        return value
 
     def conductances_at(x: np.ndarray) -> tuple[float, ...]:
         return tuple(float(v) for v in np.exp(np.concatenate(([0.0], x))))
 
     dim = n - 1
-    records = []
+    simplices = []
     for k in range(restarts):
         rng = np.random.default_rng([seed, k])
-        simplex_max = rng.uniform(-3.0, 3.0, size=(dim + 1, dim))
-        simplex_min = rng.uniform(-3.0, 3.0, size=(dim + 1, dim))
-        x_max, f_max, _ = _nelder_mead(objective_max, simplex_max, iters_per_restart)
-        x_min, f_min, _ = _nelder_mead(objective_min, simplex_min, iters_per_restart)
+        simplices.append(rng.uniform(-3.0, 3.0, size=(dim + 1, dim)))
+        simplices.append(rng.uniform(-3.0, 3.0, size=(dim + 1, dim)))
+    lanes = _nelder_mead(objective, np.stack(simplices), iters_per_restart)
+
+    records = []
+    for k in range(restarts):
+        hi, lo = 2 * k, 2 * k + 1
         records.append(RestartBest(
             restart=k,
-            max_product=-f_max,
-            max_conductances=conductances_at(x_max),
-            min_product=f_min,
-            min_conductances=conductances_at(x_min),
+            max_product=-float(lanes.values[hi]),
+            max_conductances=conductances_at(lanes.points[hi]),
+            min_product=float(lanes.values[lo]),
+            min_conductances=conductances_at(lanes.points[lo]),
+            max_iterations=int(lanes.iterations[hi]),
+            max_evaluations=int(lanes.evaluations[hi]),
+            max_converged=bool(lanes.converged[hi]),
+            max_nonfinite=int(lanes.nonfinite[hi]),
+            min_iterations=int(lanes.iterations[lo]),
+            min_evaluations=int(lanes.evaluations[lo]),
+            min_converged=bool(lanes.converged[lo]),
+            min_nonfinite=int(lanes.nonfinite[lo]),
         ))
     best_max = max(records, key=lambda rec: rec.max_product)
     best_min = min(records, key=lambda rec: rec.min_product)

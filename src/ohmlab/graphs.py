@@ -99,7 +99,7 @@ def laplacian(g: WeightedGraph) -> SymmetricMatrix:
         h[j, i] = -c
         h[i, i] += c
         h[j, j] += c
-    return SymmetricMatrix(h)
+    return SymmetricMatrix._trusted(h)
 
 
 def energy(g: WeightedGraph, values: Sequence[float]) -> float:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,9 +20,67 @@ from ohmlab import (
     unit_cycle_baseline,
     verify_theorem,
 )
-from ohmlab.extremal import _product_evaluator
+from ohmlab.extremal import _nelder_mead, _product_evaluator
 
 from conftest import log_uniform
+
+
+def _scalar_nelder_mead(fn, initial_simplex, max_iters):
+    """One-lane reference: (best point, best value, iterations, evaluations, nonfinite).
+
+    Reflection 1, expansion 2, contraction 0.5, shrink 0.5; stops when the
+    squared simplex diameter drops below 1e-18.
+    """
+    calls = nonfinite = 0
+
+    def f(x):
+        nonlocal calls, nonfinite
+        value = fn(x)
+        calls += 1
+        nonfinite += not math.isfinite(value)
+        return value
+
+    points = np.array(initial_simplex, dtype=float)
+    values = np.array([f(p) for p in points])
+    iterations = 0
+    while iterations < max_iters:
+        order = np.argsort(values, kind="stable")
+        points, values = points[order], values[order]
+        diff = points[:, None, :] - points[None, :, :]
+        if float((diff * diff).sum(axis=-1).max()) < 1e-18:
+            break
+        iterations += 1
+        centroid = points[:-1].mean(axis=0)
+        direction = centroid - points[-1]
+        reflected = centroid + direction
+        f_reflected = f(reflected)
+        if values[0] <= f_reflected < values[-2]:
+            points[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * direction
+            f_expanded = f(expanded)
+            if f_expanded < f_reflected:
+                points[-1], values[-1] = expanded, f_expanded
+            else:
+                points[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[-1]:
+            contracted = centroid + 0.5 * direction
+            f_contracted = f(contracted)
+            if f_contracted <= f_reflected:
+                points[-1], values[-1] = contracted, f_contracted
+                continue
+        else:
+            contracted = centroid - 0.5 * direction
+            f_contracted = f(contracted)
+            if f_contracted < values[-1]:
+                points[-1], values[-1] = contracted, f_contracted
+                continue
+        points[1:] = points[0] + 0.5 * (points[1:] - points[0])
+        values[1:] = [f(p) for p in points[1:]]
+    best = int(np.argsort(values, kind="stable")[0])
+    return points[best], float(values[best]), iterations, calls, nonfinite
 
 
 class TestVerifyTheorem:
@@ -242,15 +301,15 @@ class TestSearch:
 
     def test_gauge_pinning_and_nan_guard(self):
         products = _product_evaluator(4)
-        low, high = products(np.zeros(3))
+        (low,), (high,) = products(np.zeros((1, 3)))
         assert low == pytest.approx(6.0, rel=1e-12)
         assert high == pytest.approx(12.0, rel=1e-12)
-        nan_low, nan_high = products(np.array([800.0, 0.0, 0.0]))
+        (nan_low,), (nan_high,) = products(np.array([[800.0, 0.0, 0.0]]))
         assert math.isnan(nan_low) and math.isnan(nan_high)
         # scale invariance: shifting all coordinates equally only rescales
-        low_b, high_b = products(np.array([0.5, 0.5, 0.5]))
-        shifted = np.array([0.5, 0.5, 0.5]) - 0.5  # pinned coordinate absorbs the shift
-        low_c, high_c = products(shifted)
+        (low_b,), (high_b,) = products(np.array([[0.5, 0.5, 0.5]]))
+        shifted = np.array([[0.5, 0.5, 0.5]]) - 0.5  # pinned coordinate absorbs the shift
+        (low_c,), (high_c,) = products(shifted)
         conducts = np.exp([0.0, 0.5, 0.5, 0.5])
         lam = np.linalg.eigvalsh(laplacian(cycle(4, conducts.tolist())).entries)
         rho = global_resistance(cycle(4, conducts.tolist()))
@@ -259,12 +318,93 @@ class TestSearch:
     def test_eigen_sym_cross_checks_search_eigensolver(self):
         rng = np.random.default_rng(33)
         products = _product_evaluator(5)
-        for _ in range(20):
-            x = rng.uniform(-2.0, 2.0, size=4)
-            low, high = products(x)
+        points = rng.uniform(-2.0, 2.0, size=(20, 4))
+        lows, highs = products(points)
+        for x, low, high in zip(points, lows, highs):
             conducts = np.exp(np.concatenate(([0.0], x)))
             g = cycle(5, conducts.tolist())
             values = eigen_sym(laplacian(g)).eigenvalues
             rho = global_resistance(g)
             assert low == pytest.approx(values[1] * rho, rel=1e-9)
             assert high == pytest.approx(values[-1] * rho, rel=1e-9)
+
+    def test_evaluator_rho_matches_mpmath(self):
+        # 2E/S sums positive terms only; S - sum(r^2)/S lost up to 6.7e4 eps here
+        rng = np.random.default_rng(34)
+        eps = np.finfo(float).eps
+        unit_lam1 = {}
+        for _ in range(300):
+            n = int(rng.integers(3, 9))
+            x = rng.uniform(-0.5, 0.5, size=(1, n - 1)) * math.log(10.0) * 16.0
+            products = _product_evaluator(n)
+            (low,), _ = products(x)
+            conducts = np.exp(np.concatenate(([0.0], x[0])))
+            # lambda_1 of the evaluator's own stack, so only rho is under test
+            lam1 = np.linalg.eigvalsh(laplacian(cycle(n, conducts.tolist())).entries)[1]
+            with mpmath.workdps(50):
+                r = [1 / mpmath.mpf(float(c)) for c in conducts]
+                total = mpmath.fsum(r)
+                exact = float(total - mpmath.fsum(v * v for v in r) / total)
+            assert abs(low / lam1 - exact) <= 4 * eps * exact
+
+    @pytest.mark.parametrize("max_iters", [5, 50])
+    def test_lockstep_matches_scalar_reference(self, max_iters):
+        # a stepped bowl with an infinite wall: ties exercise <= against <,
+        # the wall the non-finite branches and the plateaus the iteration cap
+        def scalar(x):
+            return math.inf if x[0] > 2.5 else math.floor(8.0 * float(((x - 0.3) ** 2).sum())) / 8.0
+
+        def stacked(points, lanes):
+            return np.array([scalar(x) for x in points])
+
+        simplices = np.random.default_rng(35).uniform(-3.0, 3.0, size=(8, 4, 3))
+        lanes = _nelder_mead(stacked, simplices, max_iters)
+        for k, simplex in enumerate(simplices):
+            point, value, iterations, evaluations, nonfinite = _scalar_nelder_mead(scalar, simplex, max_iters)
+            assert np.array_equal(lanes.points[k], point)
+            assert lanes.values[k] == value
+            assert lanes.iterations[k] == iterations
+            assert lanes.evaluations[k] == evaluations
+            assert lanes.nonfinite[k] == nonfinite
+            assert lanes.converged[k] == (iterations < max_iters)
+
+    def test_lanes_are_independent(self):
+        six = search_counterexample(5, restarts=6, seed=3)
+        three = search_counterexample(5, restarts=3, seed=3)
+        assert six.per_restart[:3] == three.per_restart
+
+    def test_diagnostics_count_the_run(self):
+        cap = 200
+        report = search_counterexample(4, restarts=6, iters_per_restart=cap, seed=3)
+        for rec in report.per_restart:
+            for side in ("max", "min"):
+                iterations = getattr(rec, f"{side}_iterations")
+                # a converged lane stopped before the cap; every iteration evaluates at least once
+                assert getattr(rec, f"{side}_converged") == (iterations < cap)
+                assert getattr(rec, f"{side}_evaluations") >= 4 + iterations
+                assert getattr(rec, f"{side}_nonfinite") == 0
+
+    def test_eigensolver_failure_stays_in_its_lane(self, monkeypatch):
+        n, restarts, seed = 4, 3, 7
+        clean = search_counterexample(n, restarts=restarts, iters_per_restart=200, seed=seed)
+        # first vertex of restart 1's minimizing simplex, drawn as the search draws it
+        rng = np.random.default_rng([seed, 1])
+        rng.uniform(-3.0, 3.0, size=(n, n - 1))
+        target = np.exp(np.concatenate(([0.0], rng.uniform(-3.0, 3.0, size=(n, n - 1))[0])))
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def failing_eigvalsh(a, *args, **kwargs):
+            edges = np.asarray(a).reshape(-1, n, n)[:, np.arange(n), (np.arange(n) + 1) % n]
+            if np.any(np.all(-edges == target, axis=1)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        report = search_counterexample(n, restarts=restarts, iters_per_restart=200, seed=seed)
+        for k, (rec, ref) in enumerate(zip(report.per_restart, clean.per_restart)):
+            if k == 1:
+                assert rec.min_nonfinite == 1
+                assert rec.max_nonfinite == 0
+                assert rec.max_product == ref.max_product
+            else:
+                assert rec == ref

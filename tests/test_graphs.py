@@ -138,6 +138,17 @@ class TestLaplacian:
             assert np.array_equal(h, h.T)
             assert np.max(np.abs(h.sum(axis=1))) <= 1e-12 * np.max(np.diag(h))
 
+    def test_diagonal_overflow_rejected(self):
+        # every conductance is finite, but two of them sum past the float range
+        g = cycle(3, [1e308, 1e308, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            laplacian(g)
+
+    def test_entries_are_read_only(self):
+        h = laplacian(unit_three_cycle()).entries
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+
 
 class TestEnergy:
     def test_direct_evaluation(self):
