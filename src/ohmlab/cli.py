@@ -84,11 +84,7 @@ def _cmd_figure(args) -> int:
         return 2
     spec = FIGURE_FAMILIES[args.family]
     grid = np.linspace(args.lo, args.hi, args.steps)
-    try:
-        rows = scan_family(args.family, grid)
-    except ValueError as exc:
-        print(f"figure: {exc}", file=sys.stderr)
-        return 2
+    rows = scan_family(args.family, grid)
     skipped = len(grid) - len(rows)
     with_reference = args.family in DISPUTED_REFERENCES
     if spec.n == 3:

@@ -6,8 +6,9 @@ from above and below respectively, with equality exactly at equal weights.
 This module verifies that bound, realizes the monotonicity statements behind
 it as numerical scans, and searches larger cycles for counterexamples to the
 analogous extremality of equal weights using scale-free Nelder-Mead runs. The
-search advances every restart and both directions together, so each step
-evaluates its points with one stacked ``numpy.linalg.eigvalsh`` call.
+search advances every restart and both directions together. Spectra and
+global resistances come from :func:`~ohmlab.families.cycle_spectra`, one call
+per theorem check, monotonicity grid or batch of search points.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .families import CyclePoint, InfeasibleFamilyError, figure_family, solve_last_cycle_conductance
-from .graphs import cycle, laplacian
-from .linalg import eigen_sym
-from .resistance import cycle_rho_closed_form
+# scan_family is defined beside figure_family, whose realization it shares
+from .families import CyclePoint, InfeasibleFamilyError, cycle_spectra, scan_family, solve_last_cycle_conductance
+from .graphs import GraphError
 
 THREE_CYCLE_PRODUCT_BOUND = 6.0
 #: Relative excess over the unit-cycle baseline that counts as a counterexample;
@@ -113,18 +113,27 @@ def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremR
 
     ``tol`` is relative: the lower bound passes when lambda_1 rho <= 6 (1+tol),
     the upper when lambda_2 rho >= 6 (1-tol), and equality is flagged when both
-    products sit within 6 tol of the bound.
+    products sit within 6 tol of the bound. The eigensolver's error in
+    lambda_1 is about eps lambda_max, so a product it cannot resolve within
+    that slack (3 eps lambda_max rho > 6 tol), or a non-finite rho or product,
+    raises ``numpy.linalg.LinAlgError`` instead of a verdict.
     """
     values = tuple(float(x) for x in conductances)
     if len(values) != 3:
         raise ValueError(f"expected 3 conductances, got {len(values)}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    rho = cycle_rho_closed_form(values)
-    spectrum = eigen_sym(laplacian(cycle(3, values)))
-    lambda1_rho = float(spectrum.eigenvalues[1]) * rho
-    lambdamax_rho = float(spectrum.eigenvalues[2]) * rho
+    if not all(0.0 < c < math.inf for c in values):
+        raise GraphError(f"conductances must be positive finite reals, got {values}")
+    eigenvalues, rhos = cycle_spectra([values])
+    rho = float(rhos[0])
+    lambda1_rho = float(eigenvalues[0, 1]) * rho
+    lambdamax_rho = float(eigenvalues[0, 2]) * rho
     bound = THREE_CYCLE_PRODUCT_BOUND
+    # false as well when rho, and so both products, is NaN or infinite
+    if not 3.0 * np.finfo(float).eps * lambdamax_rho <= bound * tol:
+        raise np.linalg.LinAlgError(f"products lambda_1 rho = {lambda1_rho!r}, lambda_2 rho = "
+                                    f"{lambdamax_rho!r} cannot be resolved to relative tolerance {tol!r}")
     return TheoremReport(
         conductances=values,
         rho=rho,
@@ -147,23 +156,6 @@ def unit_cycle_baseline(n: int) -> UnitCycleBaseline:
     lambda1 = 2.0 - 2.0 * math.cos(2.0 * math.pi / n)
     lambda_max = 2.0 - 2.0 * math.cos(2.0 * math.pi * (n // 2) / n)
     return UnitCycleBaseline(lambda1=lambda1, lambda_max=lambda_max, rho=float(n - 1))
-
-
-def scan_family(family: str, param_grid: Sequence[float]) -> list[ScanRow]:
-    """Realize a figure family over a parameter grid, ordered by parameter.
-
-    Infeasible grid points are skipped; if none are feasible a ValueError is
-    raised. The skipped count is the grid size minus the returned row count.
-    """
-    rows: list[ScanRow] = []
-    for param in sorted(float(p) for p in param_grid):
-        try:
-            rows.append(figure_family(family, param))
-        except InfeasibleFamilyError:
-            continue
-    if not rows:
-        raise ValueError(f"no feasible grid points for family {family!r}")
-    return rows
 
 
 #: check id -> (eigenvalue index, required difference sign, parameter regime)
@@ -202,17 +194,16 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
             raise ValueError(f"{check} requires 0 < b <= 1, got {b!r}")
         if any(not 0.0 < r <= b for r in grid):
             raise ValueError(f"{check} scans 0 < r <= b = {b!r}; grid goes outside")
-    eigenvalues = []
+    rows = []
     for r in grid:
         try:
-            z = solve_last_cycle_conductance((b, r), 2.0)
+            rows.append((solve_last_cycle_conductance((b, r), 2.0), b, r))
         except InfeasibleFamilyError:
             continue
-        spectrum = eigen_sym(laplacian(cycle(3, (z, b, r))))
-        eigenvalues.append(float(spectrum.eigenvalues[eig_index]))
-    if len(eigenvalues) < 2:
+    if len(rows) < 2:
         raise ValueError(f"fewer than two feasible grid points for {check} at b={b!r}")
-    margins = sign * np.diff(eigenvalues)
+    eigenvalues, _ = cycle_spectra(rows)
+    margins = sign * np.diff(eigenvalues[:, eig_index])
     worst = float(margins.min())
     return MonotonicityResult(ok=bool(worst >= -tol), worst_margin=worst)
 
@@ -222,21 +213,10 @@ def _product_evaluator(n: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.nd
 
     Takes an (m, n-1) stack of points and returns two length-m arrays. Pinning
     the first coordinate removes the scale gauge: the products are invariant
-    under global conductance scaling. The m Laplacians are assembled into one
-    stack whose eigenvalues come from a single ``numpy.linalg.eigvalsh`` call,
-    and rho is the cancellation-free 2E/S of ``resistance.resistance_sums``,
-    with E summed over a cumulative sum; the test suite checks both against
-    :func:`eigen_sym`, :func:`global_resistance` and mpmath. Rows whose
-    conductances would overflow or underflow, and rows LAPACK fails on, yield
-    (nan, nan).
+    under global conductance scaling. The whole stack goes through one
+    :func:`~ohmlab.families.cycle_spectra` call. Rows whose conductances would
+    overflow or underflow, and rows LAPACK fails on, yield (nan, nan).
     """
-    indices = np.arange(n)
-    successors = np.roll(indices, -1)
-    predecessors = np.roll(indices, 1)
-    # flat positions of H[k, k+1], H[k+1, k] and H[k, k] in a row-major n x n matrix
-    upper = indices * n + successors
-    lower = successors * n + indices
-    diagonal = indices * (n + 1)
 
     def products(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = len(x)
@@ -246,25 +226,16 @@ def _product_evaluator(n: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.nd
         invalid = ~(np.abs(logs).max(axis=1) <= 700.0)
         logs[invalid] = 0.0
         conducts = np.exp(logs)
-        h = np.zeros((m, n * n))
-        h[:, upper] = -conducts
-        h[:, lower] = -conducts
-        h[:, diagonal] = conducts + conducts[:, predecessors]
-        h = h.reshape(m, n, n)
         try:
-            w = np.linalg.eigvalsh(h)
+            w, rho = cycle_spectra(conducts)
         except np.linalg.LinAlgError:
             # numpy fails the whole stack when one matrix fails; keep the others
-            w = np.full((m, n), math.nan)
+            w, rho = np.full((m, n), math.nan), np.full(m, math.nan)
             for row in range(m):
                 try:
-                    w[row] = np.linalg.eigvalsh(h[row])
+                    w[row:row + 1], rho[row:row + 1] = cycle_spectra(conducts[row:row + 1])
                 except np.linalg.LinAlgError:
                     pass
-        r = 1.0 / conducts
-        total = r.sum(axis=1)
-        pairs = (r[:, 1:] * np.cumsum(r, axis=1)[:, :-1]).sum(axis=1)
-        rho = 2.0 * pairs / total
         rho[invalid] = math.nan
         return w[:, 1] * rho, w[:, -1] * rho
 

@@ -10,20 +10,21 @@ curves so the discrepancy stays visible (see ``reference_conductance``).
 Every conductance tuple, 3-cycles included, is in cycle edge order
 (c01, c12, ..., c_{n-1,0}), the order of :func:`~ohmlab.graphs.cycle`, and one
 solver, :func:`solve_last_cycle_conductance`, supplies the free edge of every
-family. Only :func:`three_cycle_graph` and :func:`three_cycle_laplacian` take
-the vertex-pair order (c01, c02, c12), which the CLI also uses for ``verify``
-arguments and the 3-cycle columns of its figure CSVs.
+family. One evaluator, :func:`cycle_spectra`, gives the spectra and global
+resistances of a stack of such cycles to every family point, scan, theorem
+check and search step, a whole grid or search batch at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .graphs import WeightedGraph, cycle, laplacian
-from .linalg import SymmetricMatrix, eigen_sym
-from .resistance import global_resistance, resistance_sums
+import numpy as np
+
+from .resistance import resistance_sums
 
 THREE_CYCLE_TARGET_RHO = 2.0
 FOUR_CYCLE_TARGET_RHO = 3.0
@@ -79,37 +80,54 @@ class ClosedFormEigenvalues(NamedTuple):
     ordered: tuple[float, float]
 
 
-def three_cycle_graph(c01: float, c02: float, c12: float) -> WeightedGraph:
-    """3-cycle from the vertex-pair triple (c01, c02, c12), i.e. cycle(3, (c01, c12, c02))."""
-    return cycle(3, (c01, c12, c02))
+@functools.cache
+def _cycle_positions(n: int) -> tuple[np.ndarray, ...]:
+    """Flat row-major positions of H[k, k+1], H[k+1, k], H[k, k], and each vertex's predecessor."""
+    indices = np.arange(n)
+    successors = np.roll(indices, -1)
+    return indices * n + successors, successors * n + indices, indices * (n + 1), np.roll(indices, 1)
 
 
-def three_cycle_laplacian(c01: float, c02: float, c12: float) -> SymmetricMatrix:
-    """Laplacian of the 3-cycle with vertex-pair conductances (c01, c02, c12)."""
-    return laplacian(three_cycle_graph(c01, c02, c12))
+def cycle_spectra(conductances) -> tuple[np.ndarray, np.ndarray]:
+    """Laplacian eigenvalues and global resistances of a stack of n-cycles.
+
+    Takes an (m, n) array of positive conductances, one cycle per row in edge
+    order. Returns the (m, n) ascending eigenvalues, from one
+    ``numpy.linalg.eigvalsh`` call on the stacked Laplacians, and the (m,)
+    global resistances as the cancellation-free 2E/S, E summed over a
+    cumulative sum. An overflowing diagonal raises ``ValueError``;
+    ``numpy.linalg.LinAlgError`` propagates.
+    """
+    c = np.asarray(conductances, dtype=float)
+    m, n = c.shape
+    upper, lower, diagonal, predecessors = _cycle_positions(n)
+    h = np.zeros((m, n * n))
+    h[:, upper] = -c
+    h[:, lower] = -c
+    h[:, diagonal] = c + c[:, predecessors]
+    if not np.isfinite(h[:, diagonal]).all():
+        raise ValueError("matrix entries must be finite")
+    eigenvalues = np.linalg.eigvalsh(h.reshape(m, n, n))
+    r = 1.0 / c
+    total = r.sum(axis=1)
+    pairs = (r[:, 1:] * np.cumsum(r, axis=1)[:, :-1]).sum(axis=1)
+    return eigenvalues, 2.0 * pairs / total
 
 
-def _realize(family: str, parameter: float, conductances: Sequence[float]) -> CyclePoint:
-    values = tuple(float(c) for c in conductances)
-    for c in values:
-        if not (math.isfinite(c) and c > 0.0):
-            raise InfeasibleFamilyError(
-                f"family {family!r} at parameter {parameter!r}: "
-                f"conductances {values} are not all positive"
-            )
-    graph = cycle(len(values), values)
-    spectrum = eigen_sym(laplacian(graph))
-    rho = global_resistance(graph)
-    eigenvalues = tuple(float(x) for x in spectrum.eigenvalues)
-    products = tuple(x * rho for x in eigenvalues[1:])
-    return CyclePoint(
-        family=family,
-        parameter=float(parameter),
-        conductances=values,
-        rho=rho,
-        eigenvalues=eigenvalues,
-        products=products,
-    )
+def _realize(family: str, points: Sequence[tuple[float, tuple[float, ...]]]) -> list[CyclePoint]:
+    """Family points from (parameter, positive conductances) pairs, by one :func:`cycle_spectra` call."""
+    eigenvalues, rhos = cycle_spectra([values for _, values in points])
+    return [
+        CyclePoint(
+            family=family,
+            parameter=parameter,
+            conductances=values,
+            rho=rho,
+            eigenvalues=tuple(spectrum),
+            products=tuple(x * rho for x in spectrum[1:]),
+        )
+        for (parameter, values), spectrum, rho in zip(points, eigenvalues.tolist(), rhos.tolist())
+    ]
 
 
 def two_equal_family(b: float) -> CyclePoint:
@@ -125,7 +143,7 @@ def two_equal_family(b: float) -> CyclePoint:
             f"two-equal family needs b strictly inside (1/2, 2), got {b!r}"
         )
     c01 = b * (2.0 - b) / (2.0 * b - 1.0)
-    return _realize("two-equal", b, (c01, b, b))
+    return _realize("two-equal", [(b, (c01, b, b))])[0]
 
 
 def two_equal_eigenvalues(b: float) -> ClosedFormEigenvalues:
@@ -222,28 +240,46 @@ def reference_conductance(family: str, param: float) -> float | None:
         return math.nan
 
 
+def _family_conductances(family: str, param: float) -> tuple[float, ...]:
+    """Conductances of one family member: fixed-edge formulas plus the solved edge."""
+    spec = FIGURE_FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(FIGURE_FAMILIES)}")
+    conductances = [0.0] * spec.n
+    for idx, formula in spec.fixed:
+        conductances[idx] = float(formula(param))
+    known = [c for k, c in enumerate(conductances) if k != spec.solved_edge]
+    conductances[spec.solved_edge] = solve_last_cycle_conductance(known, spec.target_rho)
+    if not all(0.0 < c < math.inf for c in conductances):
+        raise InfeasibleFamilyError(f"family {family!r} at parameter {param!r}: "
+                                    f"conductances {conductances} are not all positive and finite")
+    return tuple(conductances)
+
+
 def figure_family(family: str, param: float) -> CyclePoint:
     """Realize one parameter value of a catalogued figure family.
 
     The free edge always comes from the constraint solver, so every returned
-    point satisfies the family's target global resistance to round-off.
+    point satisfies the family's target global resistance to round-off. The
+    point is bit for bit the row :func:`scan_family` gives for the same value.
     """
-    try:
-        spec = FIGURE_FAMILIES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; choose from {sorted(FIGURE_FAMILIES)}"
-        ) from None
     param = float(param)
-    conductances: list[float | None] = [None] * spec.n
-    for idx, formula in spec.fixed:
-        value = float(formula(param))
-        if not (math.isfinite(value) and value > 0.0):
-            raise InfeasibleFamilyError(
-                f"family {family!r} at parameter {param!r}: fixed edge {idx} "
-                f"has non-positive value {value!r}"
-            )
-        conductances[idx] = value
-    known = [c for c in conductances if c is not None]
-    conductances[spec.solved_edge] = solve_last_cycle_conductance(known, spec.target_rho)
-    return _realize(family, param, conductances)
+    return _realize(family, [(param, _family_conductances(family, param))])[0]
+
+
+def scan_family(family: str, param_grid: Sequence[float]) -> list[CyclePoint]:
+    """Realize a figure family over a parameter grid, ordered by parameter.
+
+    Infeasible grid points are skipped; if none are feasible a ValueError is
+    raised. The skipped count is the grid size minus the returned row count.
+    One :func:`cycle_spectra` call realizes all feasible points together.
+    """
+    points = []
+    for param in sorted(float(p) for p in param_grid):
+        try:
+            points.append((param, _family_conductances(family, param)))
+        except InfeasibleFamilyError:
+            continue
+    if not points:
+        raise ValueError(f"no feasible grid points for family {family!r}")
+    return _realize(family, points)

@@ -99,7 +99,17 @@ def laplacian(g: WeightedGraph) -> SymmetricMatrix:
         h[j, i] = -c
         h[i, i] += c
         h[j, j] += c
-    return SymmetricMatrix._trusted(h)
+    return SymmetricMatrix(h)
+
+
+def three_cycle_graph(c01: float, c02: float, c12: float) -> WeightedGraph:
+    """3-cycle from the vertex-pair triple (c01, c02, c12), i.e. cycle(3, (c01, c12, c02))."""
+    return cycle(3, (c01, c12, c02))
+
+
+def three_cycle_laplacian(c01: float, c02: float, c12: float) -> SymmetricMatrix:
+    """Laplacian of the 3-cycle with vertex-pair conductances (c01, c02, c12)."""
+    return laplacian(three_cycle_graph(c01, c02, c12))
 
 
 def energy(g: WeightedGraph, values: Sequence[float]) -> float:

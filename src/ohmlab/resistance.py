@@ -109,11 +109,9 @@ def global_resistance(g: WeightedGraph) -> float:
 
 
 def three_cycle_rho(c01: float, c02: float, c12: float) -> float:
-    """Global resistance of a 3-cycle: 2(c01+c02+c12) / (c01*c02 + c01*c12 + c02*c12)."""
-    for c in (c01, c02, c12):
-        if not c > 0.0:
-            raise GraphError(f"conductances must be positive, got {c!r}")
-    return 2.0 * (c01 + c02 + c12) / (c01 * c02 + c01 * c12 + c02 * c12)
+    """Global resistance of a 3-cycle, 2(c01+c02+c12) / (c01*c02 + c01*c12 + c02*c12),
+    evaluated as the 2E/S of :func:`cycle_rho_closed_form`."""
+    return cycle_rho_closed_form((c01, c12, c02))
 
 
 def resistance_sums(conductances: Sequence[float]) -> tuple[float, float]:

@@ -115,6 +115,27 @@ class TestVerifyCommand:
     def test_negative_conductance_exit_2(self, capsys):
         assert main(["verify", "1", "1", "-1"]) == 2
 
+    @pytest.mark.parametrize("args,code", [
+        (["inf", "1", "1"], 3),  # not a graph
+        (["1e308", "1e308", "1e308"], 2),  # the Laplacian's diagonal overflows
+        (["1", "1", "0"], 2),
+    ])
+    def test_invalid_conductances(self, capsys, args, code):
+        with np.errstate(over="ignore"):
+            assert main(["verify"] + args) == code
+        assert "VIOLATION" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["1e-320", "1", "1"],  # rho = inf/inf
+        ["1e200", "1e-200", "1"],  # lambda_1 rho is 3, below eigvalsh's resolution
+    ])
+    def test_unresolvable_products_exit_4(self, capsys, args):
+        with np.errstate(all="ignore"):
+            assert main(["verify"] + args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot be resolved" in captured.err
+
 
 class TestFigureCommand:
     def test_fig1_csv_matches_recomputation_bitwise(self, tmp_path, capsys):
@@ -210,6 +231,15 @@ class TestFigureCommand:
     def test_empty_feasible_range_exit_2(self, tmp_path):
         out = str(tmp_path / "fig2.csv")
         assert main(["figure", "fig2", "3.5", "4.0", "5", "--out", out]) == 2
+
+    def test_eigensolver_failure_exit_4(self, tmp_path, monkeypatch):
+        def failing_eigvalsh(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        out = tmp_path / "fig1.csv"
+        assert main(["figure", "fig1", "0.6", "1.9", "10", "--out", str(out)]) == 4
+        assert not out.exists()
 
     def test_bad_range_exit_2(self, tmp_path):
         out = str(tmp_path / "fig1.csv")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ohmlab import (
+    GraphError,
     cycle,
     eigen_sym,
     global_resistance,
@@ -15,6 +16,7 @@ from ohmlab import (
     scale,
     scan_family,
     search_counterexample,
+    solve_last_cycle_conductance,
     three_cycle_graph,
     three_cycle_rho,
     unit_cycle_baseline,
@@ -116,6 +118,30 @@ class TestVerifyTheorem:
             assert report.upper_ok
             if report.equality:
                 assert conducts.max() / conducts.min() < 1.0 + 1e-6
+
+    @pytest.mark.parametrize("conductances", [
+        (1e-320, 1.0, 1.0),  # rho = inf/inf
+        (1e200, 1.0, 1e-200),  # lambda_1 rho is 3, far below eigvalsh's eps lambda_max rho
+    ])
+    def test_unresolvable_products_raise(self, conductances):
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError, match="cannot be resolved"):
+            verify_theorem(conductances)
+
+    def test_rejects_infinite_conductance(self):
+        with pytest.raises(GraphError, match="finite"):
+            verify_theorem([math.inf, 1.0, 1.0])
+
+    def test_matches_eigen_sym_and_global_resistance(self):
+        # the benchmark's verify corpus: ratios up to 1e4
+        rng = np.random.default_rng(36)
+        for conducts in 10.0 ** rng.uniform(-2.0, 2.0, size=(100, 3)):
+            report = verify_theorem(conducts.tolist())
+            g = cycle(3, conducts.tolist())
+            values = eigen_sym(laplacian(g)).eigenvalues
+            rho = global_resistance(g)
+            assert abs(report.rho - rho) <= 1e-12 * rho
+            assert abs(report.lambda1_rho - values[1] * rho) <= 1e-12 * values[1] * rho
+            assert abs(report.lambdamax_rho - values[2] * rho) <= 1e-12 * values[2] * rho
 
     def test_product_scale_invariance(self):
         rng = np.random.default_rng(31)
@@ -229,6 +255,22 @@ class TestMonotonicityCheck:
         # at b = 1.5 feasibility ends at r = 3
         with pytest.raises(ValueError, match="fewer than two"):
             monotonicity_check("lemma43a", 1.5, [3.5, 4.0])
+
+    @pytest.mark.parametrize("check,index,sign,b,lo,hi", [
+        ("lemma43a", 2, 1.0, 1.2, 1.2, 0.98 * 1.2 / 0.2),
+        ("lemma44a", 1, -1.0, 1.8, 1.8, 0.98 * 1.8 / 0.8),
+        ("lemma43b", 2, -1.0, 0.6, 0.41, 0.6),
+        ("lemma44b", 1, 1.0, 0.95, 0.06, 0.95),
+    ])
+    def test_matches_eigen_sym(self, check, index, sign, b, lo, hi):
+        # the benchmark's scan regimes, 400 points up to the end of feasibility
+        grid = np.linspace(lo, hi, 400)
+        result = monotonicity_check(check, b, grid)
+        values = np.array([
+            eigen_sym(laplacian(cycle(3, (solve_last_cycle_conductance((b, r), 2.0), b, r)))).eigenvalues
+            for r in grid])
+        worst = float(min(sign * np.diff(values[:, index])))
+        assert abs(result.worst_margin - worst) <= 1e-12 * values.max()
 
     def test_detects_false_monotonicity_claim(self):
         # lambda1 on the b >= 1 branch is NOT increasing, so feeding it the

@@ -9,11 +9,14 @@ from ohmlab import (
     FIGURE_FAMILIES,
     FamilySpec,
     InfeasibleFamilyError,
+    cycle,
     cycle_rho_closed_form,
     eigen_sym,
     figure_family,
+    global_resistance,
     laplacian,
     reference_conductance,
+    scan_family,
     solve_last_cycle_conductance,
     solve_third_conductance,
     three_cycle_graph,
@@ -22,6 +25,7 @@ from ohmlab import (
     two_equal_eigenvalues,
     two_equal_family,
 )
+from ohmlab.families import cycle_spectra
 
 from conftest import log_uniform
 
@@ -272,9 +276,51 @@ class TestFigureFamilies:
 
 
 def _cycle_graph_of(point):
-    from ohmlab import cycle
-
     return cycle(len(point.conductances), list(point.conductances))
+
+
+#: The benchmark's figure grids at the outer ends of its parameter ranges, 600 points each.
+BENCHMARK_GRIDS = {
+    "fig1": np.linspace(0.505, 1.995, 600),
+    "fig2": np.linspace(0.01, 2.99, 600),
+    "fig3": np.linspace(0.26, 12.0, 600),
+    "fig4": np.linspace(0.1, 10.0, 600),
+    "fig5": np.linspace(0.2, 10.0, 600),
+}
+
+
+class TestCycleSpectra:
+    @pytest.mark.parametrize("family", sorted(BENCHMARK_GRIDS))
+    def test_scan_rows_are_figure_points(self, family):
+        grid = BENCHMARK_GRIDS[family]
+        assert scan_family(family, grid) == [figure_family(family, p) for p in grid]
+
+    @pytest.mark.parametrize("family", sorted(BENCHMARK_GRIDS))
+    def test_benchmark_grids_match_eigen_sym_and_global_resistance(self, family):
+        for point in scan_family(family, BENCHMARK_GRIDS[family]):
+            g = _cycle_graph_of(point)
+            values = eigen_sym(laplacian(g)).eigenvalues
+            rho = global_resistance(g)
+            assert abs(point.rho - rho) <= 1e-12 * rho
+            assert np.all(np.abs(np.array(point.eigenvalues) - values) <= 1e-12 * values[-1])
+            for product, value in zip(point.products, values[1:]):
+                assert abs(product - value * rho) <= 1e-12 * value * rho
+
+    def test_rows_are_independent_cycles(self):
+        rng = np.random.default_rng(23)
+        for n in (3, 4, 7):
+            conductances = log_uniform(rng, 1e-2, 1e2, size=(20, n))
+            eigenvalues, rho = cycle_spectra(conductances)
+            assert eigenvalues.shape == (20, n) and rho.shape == (20,)
+            for row, values, rho_k in zip(conductances.tolist(), eigenvalues, rho):
+                alone, (rho_alone,) = cycle_spectra([row])
+                assert np.array_equal(alone[0], values) and rho_alone == rho_k
+                assert rho_k == pytest.approx(cycle_rho_closed_form(row), rel=1e-15)
+
+    def test_overflowing_diagonal_rejected(self):
+        # every conductance is finite, but two of them sum past the float range
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            cycle_spectra([[1e308, 1e308, 1.0]])
 
 
 class TestFamilySpec:
