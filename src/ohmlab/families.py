@@ -101,17 +101,21 @@ def cycle_spectra(conductances) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(conductances, dtype=float)
     m, n = c.shape
     upper, lower, diagonal, predecessors = _cycle_positions(n)
-    h = np.zeros((m, n * n))
-    h[:, upper] = -c
-    h[:, lower] = -c
-    h[:, diagonal] = c + c[:, predecessors]
-    if not np.isfinite(h[:, diagonal]).all():
+    degrees = c + c[:, predecessors]
+    if not np.isfinite(degrees).all():
         raise ValueError("matrix entries must be finite")
+    h = np.zeros((m, n * n))
+    h[:, upper] = h[:, lower] = -c
+    h[:, diagonal] = degrees
     eigenvalues = np.linalg.eigvalsh(h.reshape(m, n, n))
+    # E sums products of resistances: dividing each row by the power of two
+    # that brings its S into [1/2, 1) keeps E from underflowing or overflowing,
+    # and 2E/S scales back exactly
     r = 1.0 / c
-    total = r.sum(axis=1)
+    total, exponents = np.frexp(r.sum(axis=1))
+    r = np.ldexp(r, -exponents[:, None])
     pairs = (r[:, 1:] * np.cumsum(r, axis=1)[:, :-1]).sum(axis=1)
-    return eigenvalues, 2.0 * pairs / total
+    return eigenvalues, np.ldexp(2.0 * pairs / total, exponents)
 
 
 def _realize(family: str, points: Sequence[tuple[float, tuple[float, ...]]]) -> list[CyclePoint]:
@@ -247,7 +251,11 @@ def _family_conductances(family: str, param: float) -> tuple[float, ...]:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FIGURE_FAMILIES)}")
     conductances = [0.0] * spec.n
     for idx, formula in spec.fixed:
-        conductances[idx] = float(formula(param))
+        try:
+            conductances[idx] = float(formula(param))
+        except ZeroDivisionError:
+            raise InfeasibleFamilyError(f"family {family!r} at parameter {param!r}: "
+                                        f"fixed edge {idx} divides by zero") from None
     known = [c for k, c in enumerate(conductances) if k != spec.solved_edge]
     conductances[spec.solved_edge] = solve_last_cycle_conductance(known, spec.target_rho)
     if not all(0.0 < c < math.inf for c in conductances):

@@ -1,19 +1,33 @@
 """Dense symmetric linear algebra on LAPACK.
 
-Two primitives back everything else in the package: a full symmetric
-eigendecomposition (``dsyevr``) and a Cholesky factorization and solve
-(``dpotrf``/``dpotrs``) for symmetric positive-definite systems. They call
-the ``scipy.linalg.lapack`` wrappers directly: on the small matrices handled
-here these run in the calling thread, while ``scipy.linalg.solve_triangular``
-wakes a BLAS worker thread even for 2x2 systems.
+Two primitives back the general-graph queries (spectra, resistances, metric
+checks): a full symmetric eigendecomposition (``dsyevr``) and a Cholesky
+factorization and solve (``dpotrf``/``dpotrs``) for symmetric
+positive-definite systems. They call the ``scipy.linalg.lapack`` wrappers
+directly: on the small matrices handled here these run in the calling thread,
+while ``scipy.linalg.solve_triangular`` wakes a BLAS worker thread even for
+2x2 systems.
+
+The wrappers are imported on first use, by :func:`_lapack`. Importing
+``scipy.linalg`` takes about a quarter of a second (2-core Xeon), longer than
+a whole ``verify`` run, and the cycle paths (theorem check, figures, search)
+use numpy alone, so they never pay for it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
+
+
+@functools.cache
+def _lapack():
+    """The ``scipy.linalg.lapack`` module, imported on the first call."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -80,7 +94,7 @@ def eigen_sym(matrix) -> Spectrum:
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
     a = sym.entries
-    values, vectors, _, _, info = dsyevr(a, lower=1)
+    values, vectors, _, _, info = _lapack().dsyevr(a, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info}")
     residuals = a @ vectors - vectors * values
@@ -95,7 +109,7 @@ def cholesky_lower(matrix) -> np.ndarray:
     reporting its (0-based) index and value.
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
-    lower, info = dpotrf(sym.entries, lower=1)
+    lower, info = _lapack().dpotrf(sym.entries, lower=1)
     if info > 0:
         # dpotrf stops at the failing pivot and leaves its value on the diagonal
         k = info - 1
@@ -113,7 +127,7 @@ def solve_spd(matrix, rhs, return_pivot_ratio: bool = False):
     factorization, a cheap conditioning indicator.
     """
     lower = cholesky_lower(matrix)
-    x, info = dpotrs(lower, np.asarray(rhs, dtype=float), lower=1)
+    x, info = _lapack().dpotrs(lower, np.asarray(rhs, dtype=float), lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dpotrs failed with info = {info}")
     if return_pivot_ratio:

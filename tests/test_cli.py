@@ -1,8 +1,15 @@
-"""Command-line interface: outputs, CSV files, and the exit-code taxonomy."""
+"""Command-line interface: outputs, CSV files, the exit-code taxonomy, imports."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import ohmlab
 from ohmlab import cycle_rho_closed_form, scan_family, three_cycle_rho
 from ohmlab.cli import main
 
@@ -114,6 +121,13 @@ class TestVerifyCommand:
 
     def test_negative_conductance_exit_2(self, capsys):
         assert main(["verify", "1", "1", "-1"]) == 2
+
+    @pytest.mark.parametrize("c", ["1e300", "1e160", "1e-300"])
+    def test_equal_extreme_conductances_are_equality(self, capsys, c):
+        # rho = 2E/S of these cycles is scaled so that E neither underflows
+        # (large conductances) nor overflows (small ones)
+        assert main(["verify", c, c, c]) == 0
+        assert capsys.readouterr().out == "lambda1_rho=6 lambda2_rho=6 EQUALITY\n"
 
     @pytest.mark.parametrize("args,code", [
         (["inf", "1", "1"], 3),  # not a graph
@@ -228,6 +242,14 @@ class TestFigureCommand:
         assert skipped > 0
         assert comments[0] == f"# skipped {skipped} infeasible grid points of 10"
 
+    @pytest.mark.parametrize("family", ["fig4", "fig5"])
+    def test_zero_parameter_is_skipped(self, tmp_path, family):
+        out = str(tmp_path / f"{family}.csv")
+        assert main(["figure", family, "0", "1", "5", "--out", out]) == 0
+        _, rows, comments = parse_csv(out)
+        assert [row[0] for row in rows] == [0.25, 0.5, 0.75, 1.0]
+        assert "# skipped 1 infeasible grid points of 5" in comments
+
     def test_empty_feasible_range_exit_2(self, tmp_path):
         out = str(tmp_path / "fig2.csv")
         assert main(["figure", "fig2", "3.5", "4.0", "5", "--out", out]) == 2
@@ -282,3 +304,45 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["figure", "fig9", "0", "1", "5", "--out", "x.csv"])
         assert excinfo.value.code == 2
+
+
+#: Runs the cycle subcommands, then the general-graph ones, in a fresh
+#: interpreter and reports the scipy modules loaded after each stage.
+IMPORT_PROBE = textwrap.dedent("""
+    import json, os, sys
+    import ohmlab, ohmlab.cli
+    from ohmlab.cli import main
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    tmp = sys.argv[1]
+    graph = os.path.join(tmp, "c3.txt")
+    with open(graph, "w") as handle:
+        handle.write("n 3\\n0 1 1\\n0 2 2\\n1 2 3\\n")
+    report = {"import": scipy_modules()}
+    report["cycle_codes"] = [
+        main(["verify", "1", "2", "3"]),
+        main(["figure", "fig1", "0.6", "1.9", "5", "--out", os.path.join(tmp, "fig1.csv")]),
+        main(["search", "3", "--restarts", "2"]),
+    ]
+    report["cycle"] = scipy_modules()
+    report["graph_codes"] = [main(["spectrum", graph]), main(["rho", graph])]
+    report["graph"] = scipy_modules()
+    print(json.dumps(report))
+""")
+
+
+class TestImports:
+    def test_cycle_subcommands_never_load_scipy(self, tmp_path):
+        env = dict(os.environ)
+        source = os.path.dirname(os.path.dirname(ohmlab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+                                env=env, capture_output=True, text=True, timeout=120, check=True)
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["import"] == []
+        assert report["cycle_codes"] == [0, 0, 0]
+        assert report["cycle"] == []
+        assert report["graph_codes"] == [0, 0]
+        assert "scipy.linalg.lapack" in report["graph"]

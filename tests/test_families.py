@@ -261,6 +261,9 @@ class TestFigureFamilies:
             figure_family("fig1", 2.5)
         with pytest.raises(InfeasibleFamilyError):
             figure_family("fig2", 3.2)
+        for family in ("fig4", "fig5"):  # their fixed edge 1/c has no value at c = 0
+            with pytest.raises(InfeasibleFamilyError, match="divides by zero"):
+                figure_family(family, 0.0)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -316,6 +319,16 @@ class TestCycleSpectra:
                 alone, (rho_alone,) = cycle_spectra([row])
                 assert np.array_equal(alone[0], values) and rho_alone == rho_k
                 assert rho_k == pytest.approx(cycle_rho_closed_form(row), rel=1e-15)
+
+    def test_rho_scales_exactly_by_powers_of_two(self):
+        # c -> 2^k c maps rho -> 2^-k rho bit for bit, out to where E = sum
+        # of resistance products would underflow or overflow unscaled
+        rng = np.random.default_rng(29)
+        conductances = log_uniform(rng, 1e-2, 1e2, size=(10, 5))
+        _, rho = cycle_spectra(conductances)
+        for k in (-1000, -520, 520, 1000):
+            _, scaled = cycle_spectra(np.ldexp(conductances, k))
+            assert np.array_equal(scaled, np.ldexp(rho, -k))
 
     def test_overflowing_diagonal_rejected(self):
         # every conductance is finite, but two of them sum past the float range

@@ -91,7 +91,8 @@ class TestEigenSym:
             n = a.shape[0]
             return np.zeros(n), np.eye(n), n, np.zeros(2 * n, dtype=np.int32), 1
 
-        monkeypatch.setattr("ohmlab.linalg.dsyevr", failing_dsyevr)
+        # ohmlab.linalg looks the wrapper up on the scipy module at each call
+        monkeypatch.setattr("scipy.linalg.lapack.dsyevr", failing_dsyevr)
         with pytest.raises(np.linalg.LinAlgError, match="dsyevr"):
             eigen_sym(np.eye(2))
         path = tmp_path / "g.txt"
@@ -201,6 +202,17 @@ class TestSolveSpd:
         a = np.diag([1e6, 1.0])
         x, ratio = solve_spd(a, np.eye(2), return_pivot_ratio=True)
         assert ratio == pytest.approx(1e6)
+
+    def test_lapack_failure_is_loud(self, monkeypatch, tmp_path):
+        def failing_dpotrf(a, **kwargs):
+            return np.array(a), -1
+
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", failing_dpotrf)
+        with pytest.raises(np.linalg.LinAlgError, match="dpotrf"):
+            solve_spd(np.eye(2), np.eye(2))
+        path = tmp_path / "g.txt"
+        path.write_text(dump_graph(cycle(3, [1.0, 2.0, 3.0])))
+        assert main(["rho", str(path)]) == 4
 
     def test_cholesky_factor_shape(self):
         a = np.array([[4.0, 2.0], [2.0, 3.0]])
