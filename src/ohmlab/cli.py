@@ -8,6 +8,7 @@ means a violated inequality).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -22,6 +23,11 @@ from .resistance import cycle_rho_closed_form, effective_resistance, global_resi
 #: arguments and figure CSV columns; entry k is the cycle edge (c01, c12, c02)
 #: holding pair k. The permutation is its own inverse.
 _THREE_CYCLE_PAIR_ORDER = (0, 2, 1)
+
+#: ``RestartBest`` fields written per restart by ``search --trace``.
+_TRACE_FIELDS = ("restart", "max_product", "min_product",
+                 "max_iterations", "max_evaluations", "max_converged", "max_nonfinite",
+                 "min_iterations", "min_evaluations", "min_converged", "min_nonfinite")
 
 
 def _fmt(x: float) -> str:
@@ -150,6 +156,10 @@ def _cmd_search(args) -> int:
             lines.append(",".join(cells))
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            for rec in report.per_restart:
+                handle.write(json.dumps({name: getattr(rec, name) for name in _TRACE_FIELDS}) + "\n")
     if report.counterexample:
         print("COUNTEREXAMPLE FOUND")
         return 10
@@ -205,6 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional CSV of per-restart bests")
+    p.add_argument("--trace", default=None,
+                   help="optional JSON Lines file: per restart, both products and each "
+                        "direction's iterations, evaluations, converged flag and non-finite count")
     p.set_defaults(handler=_cmd_search)
 
     return parser

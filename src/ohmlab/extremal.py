@@ -174,7 +174,8 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
     ``lemma43a``/``lemma43b`` track the largest eigenvalue (increasing for
     b >= 1 on r >= b, decreasing for b <= 1 on r <= b); ``lemma44a``/``lemma44b``
     track the smallest positive eigenvalue with the opposite directions.
-    Grid points where no positive third conductance exists are skipped.
+    Grid points where no positive third conductance exists are skipped; a
+    non-finite grid value raises ``ValueError``.
     """
     try:
         eig_index, sign, regime = _MONOTONICITY_CHECKS[check]
@@ -183,7 +184,10 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
             f"unknown check {check!r}; choose from {sorted(_MONOTONICITY_CHECKS)}"
         ) from None
     b = float(b)
-    grid = sorted(float(r) for r in r_grid)
+    grid = [float(r) for r in r_grid]
+    if not all(math.isfinite(r) for r in grid):
+        raise ValueError(f"{check} grid values must be finite")
+    grid.sort()
     if regime == "upper":
         if not b >= 1.0:
             raise ValueError(f"{check} requires b >= 1, got {b!r}")
@@ -220,11 +224,12 @@ def _product_evaluator(n: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.nd
 
     def products(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = len(x)
+        # exp stays finite and positive on |log| <= 700; NaN fails too, the pinned 0 never
+        invalid = (~(np.abs(x).max(axis=1) <= 700.0)).nonzero()[0]
         logs = np.zeros((m, n))
         logs[:, 1:] = x
-        # exp stays finite and positive on |log| <= 700; NaN also fails here
-        invalid = ~(np.abs(logs).max(axis=1) <= 700.0)
-        logs[invalid] = 0.0
+        if invalid.size:
+            logs[invalid] = 0.0
         conducts = np.exp(logs)
         try:
             w, rho = cycle_spectra(conducts)
@@ -236,7 +241,8 @@ def _product_evaluator(n: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.nd
                     w[row:row + 1], rho[row:row + 1] = cycle_spectra(conducts[row:row + 1])
                 except np.linalg.LinAlgError:
                     pass
-        rho[invalid] = math.nan
+        if invalid.size:
+            rho[invalid] = math.nan
         return w[:, 1] * rho, w[:, -1] * rho
 
     return products
@@ -262,67 +268,78 @@ def _nelder_mead(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], simplices: 
     independently of the others: coefficients reflection 1, expansion 2,
     contraction 0.5 and shrink 0.5, a stable sort of the vertices every
     iteration, and a stop when the simplex diameter drops below 1e-9
-    (``converged``) or after ``max_iters`` iterations. A step evaluates the
+    (``converged``) or after ``max_iters`` iterations. Only running lanes are
+    stepped, in compact arrays written back when a lane stops; the all-pairs
+    diameter is computed only for lanes whose best-to-worst distance, one of
+    its terms, is already below the tolerance. A step evaluates the
     reflections of all running lanes in one batch, the expansions and both
-    contractions in a second and the shrinks in a third.
+    contractions in a second and the shrinks in a third, skipping empty ones.
     """
     points = np.array(simplices, dtype=float)
     count, size, dim = points.shape
-    values = fn(points.reshape(-1, dim), np.repeat(np.arange(count), size)).reshape(count, size)
-    evaluations = np.full(count, size)
-    nonfinite = np.count_nonzero(~np.isfinite(values), axis=1)
+    evaluations = np.zeros(count, dtype=int)
+    nonfinite = np.zeros(count, dtype=int)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
 
-    def evaluate(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        f = fn(x, lanes)
-        evaluations[:] += np.bincount(lanes, minlength=count)
-        nonfinite[:] += np.bincount(lanes[~np.isfinite(f)], minlength=count)
+    def evaluate(x: np.ndarray, lanes: np.ndarray, per: int = 1) -> np.ndarray:
+        # x holds per points of each lane in turn; lane indices are unique
+        f = fn(x, lanes if per == 1 else np.repeat(lanes, per))
+        bad = ~np.isfinite(f)
+        evaluations[lanes] += per
+        nonfinite[lanes] += bad if per == 1 else bad.reshape(-1, per).sum(axis=1)
         return f
 
-    while True:
-        lanes = np.flatnonzero(~converged & (iterations < max_iters))
-        order = np.argsort(values[lanes], axis=1, kind="stable")
-        p = np.take_along_axis(points[lanes], order[:, :, None], axis=1)
-        v = np.take_along_axis(values[lanes], order, axis=1)
-        diff = p[:, :, None, :] - p[:, None, :, :]
-        squared_diameter = (diff * diff).sum(axis=-1).max(axis=(1, 2), initial=0.0)
-        small = squared_diameter < _DIAMETER_TOL * _DIAMETER_TOL
-        converged[lanes[small]] = True
-        lanes, p, v = lanes[~small], p[~small], v[~small]
-        if lanes.size == 0:
-            break
-        iterations[lanes] += 1
-        centroid = p[:, :-1].mean(axis=1)
+    lanes = np.arange(count)
+    values = evaluate(points.reshape(-1, dim), lanes, size).reshape(count, size)
+    p, v = points, values
+    step = 0
+    while step < max_iters:
+        rows = np.arange(lanes.size)[:, None]
+        order = np.argsort(v, axis=1, kind="stable")
+        p, v = p[rows, order], v[rows, order]
+        gap = p[:, -1] - p[:, 0]
+        near = ((gap * gap).sum(axis=-1) < _DIAMETER_TOL * _DIAMETER_TOL).nonzero()[0]
+        if near.size:
+            diff = p[near, :, None, :] - p[near, None, :, :]
+            done = near[(diff * diff).sum(axis=-1).max(axis=(1, 2)) < _DIAMETER_TOL * _DIAMETER_TOL]
+            if done.size:
+                stopped = lanes[done]
+                points[stopped], values[stopped], iterations[stopped] = p[done], v[done], step
+                converged[stopped] = True
+                lanes, p, v = np.delete(lanes, done), np.delete(p, done, axis=0), np.delete(v, done, axis=0)
+                if lanes.size == 0:
+                    break
+        step += 1
+        centroid = p[:, :-1].sum(axis=1) / dim
         direction = centroid - p[:, -1]
         reflected = centroid + _REFLECTION * direction
         f_reflected = evaluate(reflected, lanes)
         best, second, worst = v[:, 0], v[:, -2], v[:, -1]
-        probe = ~((best <= f_reflected) & (f_reflected < second))
-        expand = f_reflected < best
-        outside = ~expand & (f_reflected < worst)
-        coef = np.where(expand, _EXPANSION, np.where(outside, _CONTRACTION, -_CONTRACTION))
-        tried = np.flatnonzero(probe)
-        trial = centroid[tried] + coef[tried, None] * direction[tried]
-        f_trial = evaluate(trial, lanes[tried])
-        f_ref = f_reflected[tried]
-        take = np.where(expand[tried], f_trial < f_ref,
-                        np.where(outside[tried], f_trial <= f_ref, f_trial < worst[tried]))
-        new_point, new_value = reflected, f_reflected
-        new_point[tried[take]] = trial[take]
-        new_value[tried[take]] = f_trial[take]
-        shrink = np.zeros(lanes.size, dtype=bool)
-        shrink[tried[~take & ~expand[tried]]] = True
-        p[~shrink, -1] = new_point[~shrink]
-        v[~shrink, -1] = new_value[~shrink]
-        if shrink.any():
+        tried = (~((best <= f_reflected) & (f_reflected < second))).nonzero()[0]
+        new_point, new_value, shrink = reflected, f_reflected, tried
+        if tried.size:
+            f_ref = f_reflected[tried]
+            expand = f_ref < best[tried]
+            outside = ~expand & (f_ref < worst[tried])
+            coef = np.where(expand, _EXPANSION, np.where(outside, _CONTRACTION, -_CONTRACTION))
+            trial = centroid[tried] + coef[:, None] * direction[tried]
+            f_trial = evaluate(trial, lanes[tried])
+            take = np.where(expand, f_trial < f_ref,
+                            np.where(outside, f_trial <= f_ref, f_trial < worst[tried]))
+            new_point[tried[take]] = trial[take]
+            new_value[tried[take]] = f_trial[take]
+            # a shrinking lane keeps its worst vertex until the shrink moves it
+            shrink = tried[~take & ~expand]
+            new_point[shrink], new_value[shrink] = p[shrink, -1], v[shrink, -1]
+        p[:, -1], v[:, -1] = new_point, new_value
+        if shrink.size:
             s = p[shrink]
             s[:, 1:] = s[:, :1] + _SHRINK * (s[:, 1:] - s[:, :1])
             p[shrink] = s
-            v[shrink, 1:] = evaluate(s[:, 1:].reshape(-1, dim),
-                                     np.repeat(lanes[shrink], size - 1)).reshape(-1, size - 1)
-        points[lanes] = p
-        values[lanes] = v
+            v[shrink, 1:] = evaluate(s[:, 1:].reshape(-1, dim), lanes[shrink], size - 1).reshape(-1, size - 1)
+    points[lanes], values[lanes] = p, v
+    iterations[lanes] = step
     first = np.argsort(values, axis=1, kind="stable")[:, 0]
     every = np.arange(count)
     return _LaneResults(points[every, first], values[every, first], iterations, evaluations,

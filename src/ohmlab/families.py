@@ -278,12 +278,14 @@ def figure_family(family: str, param: float) -> CyclePoint:
 def scan_family(family: str, param_grid: Sequence[float]) -> list[CyclePoint]:
     """Realize a figure family over a parameter grid, ordered by parameter.
 
-    Infeasible grid points are skipped; if none are feasible a ValueError is
-    raised. The skipped count is the grid size minus the returned row count.
-    One :func:`cycle_spectra` call realizes all feasible points together.
+    Infeasible and NaN grid points are skipped; if none are feasible a
+    ValueError is raised. The skipped count is the grid size minus the
+    returned row count. One :func:`cycle_spectra` call realizes all feasible
+    points together.
     """
     points = []
-    for param in sorted(float(p) for p in param_grid):
+    # sorted() cannot order a list holding a NaN
+    for param in sorted(p for p in map(float, param_grid) if not math.isnan(p)):
         try:
             points.append((param, _family_conductances(family, param)))
         except InfeasibleFamilyError:

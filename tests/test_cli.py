@@ -294,6 +294,29 @@ class TestSearchCommand:
         assert len(headers) == 3 + 4 + 4
 
 
+    def test_trace_records_restart_counters(self, tmp_path, capsys):
+        argv = ["search", "5", "--restarts", "3", "--iters", "300", "--seed", "3", "--out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        plain = capsys.readouterr().out
+        trace = tmp_path / "search.jsonl"
+        assert main(argv + [str(tmp_path / "traced.csv"), "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == plain
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "traced.csv").read_bytes()
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        report = ohmlab.search_counterexample(5, restarts=3, iters_per_restart=300, seed=3)
+        fields = ["restart", "max_product", "min_product"] + [
+            f"{side}_{name}" for side in ("max", "min")
+            for name in ("iterations", "evaluations", "converged", "nonfinite")]
+        assert records == [{name: getattr(rec, name) for name in fields} for rec in report.per_restart]
+        assert [list(record) for record in records] == [fields] * 3
+        # the seed mixes converged and capped restarts
+        assert {record["max_converged"] for record in records} == {True, False}
+
+    def test_unwritable_trace_exit_2(self, tmp_path):
+        trace = str(tmp_path / "missing" / "t.jsonl")
+        assert main(["search", "3", "--restarts", "2", "--iters", "50", "--trace", trace]) == 2
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -216,6 +216,16 @@ class TestScanFamily:
         with pytest.raises(ValueError, match="feasible"):
             scan_family("fig1", [2.5, 3.0])
 
+    def test_nan_parameter_skipped_and_rest_ordered(self):
+        grid = np.linspace(0.6, 1.9, 100)
+        shuffled = np.random.default_rng(37).permutation(grid).tolist()
+        shuffled.insert(37, math.nan)
+        rows = scan_family("fig1", shuffled)
+        assert [r.parameter for r in rows] == grid.tolist()
+        assert rows == scan_family("fig1", grid)
+        with pytest.raises(ValueError, match="feasible"):
+            scan_family("fig1", [math.nan])
+
 
 class TestMonotonicityCheck:
     def test_lambda2_increasing_above_unit(self):
@@ -246,6 +256,18 @@ class TestMonotonicityCheck:
             monotonicity_check("lemma43a", 1.5, [1.0, 2.0])
         with pytest.raises(ValueError, match="goes outside"):
             monotonicity_check("lemma44b", 0.75, [0.5, 0.8])
+
+    @pytest.mark.parametrize("check,b,lo,hi", [
+        ("lemma43a", 1.5, 1.5, 2.9),
+        ("lemma43b", 0.75, 0.3, 0.75),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_value_rejected(self, check, b, lo, hi, bad):
+        grid = np.random.default_rng(38).permutation(np.linspace(lo, hi, 100)).tolist()
+        assert monotonicity_check(check, b, grid).ok
+        grid.insert(37, bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            monotonicity_check(check, b, grid)
 
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown check"):
@@ -409,6 +431,40 @@ class TestSearch:
             assert lanes.evaluations[k] == evaluations
             assert lanes.nonfinite[k] == nonfinite
             assert lanes.converged[k] == (iterations < max_iters)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_search_lanes_match_scalar_reference_on_products(self, n):
+        # seed 3 at a cap of 300: every lane converges for n = 3, and for n = 4,
+        # 5 and 6 some lanes converge while others reach the cap
+        restarts, cap, seed = 2, 300, 3
+        report = search_counterexample(n, restarts=restarts, iters_per_restart=cap, seed=seed)
+        products = _product_evaluator(n)
+
+        def objective(side):
+            def value(x):
+                low, high = products(x[None, :])
+                v = float(-low[0] if side == "max" else high[0])
+                return v if math.isfinite(v) else math.inf
+            return value
+
+        converged = []
+        for k, rec in enumerate(report.per_restart):
+            # the search's own draws: the maximizing simplex first, then the minimizing one
+            rng = np.random.default_rng([seed, k])
+            for side in ("max", "min"):
+                simplex = rng.uniform(-3.0, 3.0, size=(n, n - 1))
+                point, value, iterations, evaluations, nonfinite = _scalar_nelder_mead(
+                    objective(side), simplex, cap)
+                product = -value if side == "max" else value
+                conducts = tuple(float(c) for c in np.exp(np.concatenate(([0.0], point))))
+                assert getattr(rec, f"{side}_product") == product
+                assert getattr(rec, f"{side}_conductances") == conducts
+                assert getattr(rec, f"{side}_iterations") == iterations
+                assert getattr(rec, f"{side}_evaluations") == evaluations
+                assert getattr(rec, f"{side}_converged") == (iterations < cap)
+                assert getattr(rec, f"{side}_nonfinite") == nonfinite
+                converged.append(iterations < cap)
+        assert any(converged) and (n == 3 or not all(converged))
 
     def test_lanes_are_independent(self):
         six = search_counterexample(5, restarts=6, seed=3)
