@@ -8,6 +8,8 @@ all downstream floating-point accumulation, is deterministic.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,7 +41,10 @@ class WeightedGraph:
     """Immutable weighted graph: vertex count and canonical (i, j, c) edges.
 
     Construct through :func:`build_graph` or :func:`cycle`, which validate and
-    canonicalize; instances are safe to share between concurrent tasks.
+    canonicalize. Instances are safe to share between concurrent tasks: the
+    resistance queries of :mod:`ohmlab.resistance` cache one elimination per
+    graph object outside it, and since a graph never changes, two tasks that
+    query it at once can at worst both compute that same elimination.
     """
 
     n: int
@@ -91,15 +96,32 @@ def cycle(n: int, conductances: Sequence[float]) -> WeightedGraph:
     return build_graph(n, edges)
 
 
+#: Weight of each edge's four Laplacian entries (i, j), (j, i), (i, i), (j, j) per unit conductance.
+_ENTRY_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+@functools.cache
+def _entry_offsets(n: int) -> np.ndarray:
+    """(2, 4) map from an edge's (i, j) to the flat indices of its four Laplacian entries."""
+    return np.array([[n, 1, n + 1, 0], [1, n, 0, n + 1]])
+
+
 def laplacian(g: WeightedGraph) -> SymmetricMatrix:
-    """Weighted graph Laplacian: H[k,k] = sum of incident conductances, H[i,j] = -c_ij."""
-    h = np.zeros((g.n, g.n))
-    for i, j, c in g.edges:
-        h[i, j] = -c
-        h[j, i] = -c
-        h[i, i] += c
-        h[j, j] += c
-    return SymmetricMatrix(h)
+    """Weighted graph Laplacian: H[k,k] = sum of incident conductances, H[i,j] = -c_ij.
+
+    One ``np.bincount`` over the flat indices of every edge's four entries
+    assembles the matrix. It adds the weights in edge order, so each diagonal
+    entry is the left-to-right sum 0 + c_1 + c_2 + ... of its vertex's
+    conductances, bit for bit the sum of the obvious per-edge loop.
+    """
+    n = g.n
+    m = len(g.edges)
+    columns = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=float, count=3 * m).reshape(m, 3)
+    flat = columns[:, :2].astype(np.intp) @ _entry_offsets(n)
+    weights = columns[:, 2:] * _ENTRY_SIGNS
+    # bincount returns integer zeros when it is given no edges at all
+    h = np.bincount(flat.ravel(), weights.ravel(), n * n).astype(float, copy=False)
+    return SymmetricMatrix._trusted(h.reshape(n, n))
 
 
 def three_cycle_graph(c01: float, c02: float, c12: float) -> WeightedGraph:

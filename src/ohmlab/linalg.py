@@ -63,6 +63,19 @@ class SymmetricMatrix:
         # (a + a')/2 is a bit-exact no-op when a is already symmetric
         object.__setattr__(self, "entries", _frozen((a + a.T) / 2.0))
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> SymmetricMatrix:
+        """Wrap a square float array its caller built exactly symmetric and owns.
+
+        Skips the copy and the symmetrization but keeps the finiteness check,
+        since finite entries can still sum to infinity. The array is frozen.
+        """
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", _frozen(a))
+        return matrix
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

@@ -1,16 +1,22 @@
 """Effective-resistance metric and global resistance of weighted graphs.
 
-Every resistance query reads from one resistance matrix. Grounding the
-vertex g of largest degree deletes its row and column from the Laplacian;
-the rest is symmetric positive definite, and its inverse, padded with zeros
-at g, is a generalized inverse G of the Laplacian with
-``R_ij = G_ii + G_jj - 2 G_ij``. A grounded LU solve per pair provides a
-second route for tests, and series-parallel closed forms cover cycles.
+Every resistance query reads from one resistance matrix, computed once per
+graph object. Grounding the vertex g of largest degree deletes its row and
+column from the Laplacian; the rest is symmetric positive definite, and its
+inverse, padded with zeros at g, is a generalized inverse G of the Laplacian
+with ``R_ij = G_ii + G_jj - 2 G_ij``. The read-only matrix and the pivot
+ratio of its Cholesky factor are kept in a cache keyed weakly on the graph,
+so :func:`effective_resistance`, :func:`global_resistance` and
+:func:`metric_check` on one :class:`WeightedGraph` share one connectivity
+check, one Laplacian and one elimination, and the entry dies with its graph.
+A grounded LU solve per pair provides a second route for tests, and
+series-parallel closed forms cover cycles.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,11 +34,17 @@ class IllConditionedWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class ResistanceReport:
-    """Resistance distance of one vertex pair and the minimizing energy (its reciprocal)."""
+    """Resistance distance of one vertex pair and the minimizing energy (its reciprocal).
+
+    ``pivot_ratio`` is max(pivot)/min(pivot) of the Cholesky factorization
+    behind the value; above ``ILL_CONDITIONED_PIVOT_RATIO`` the query also
+    raises :class:`IllConditionedWarning`.
+    """
 
     pair: tuple[int, int]
     value: float
     energy_min: float
+    pivot_ratio: float
 
 
 def _check_pair(g: WeightedGraph, i: int, j: int) -> None:
@@ -47,8 +59,10 @@ def _require_connected(g: WeightedGraph) -> None:
         raise DisconnectedGraphError("graph is not connected")
 
 
-def _resistance_matrix(g: WeightedGraph) -> np.ndarray:
-    """All pairwise resistance distances from one Cholesky solve of the grounded Laplacian."""
+def _eliminate(g: WeightedGraph) -> tuple[np.ndarray, float]:
+    """All pairwise resistance distances, read-only, from one Cholesky solve of
+    the grounded Laplacian, with the pivot ratio of that factorization."""
+    _require_connected(g)
     h = laplacian(g).entries
     ground = int(np.argmax(np.diag(h)))
     keep = [k for k in range(g.n) if k != ground]
@@ -59,6 +73,35 @@ def _resistance_matrix(g: WeightedGraph) -> np.ndarray:
         raise DisconnectedGraphError(
             "grounded Laplacian is not positive definite (graph disconnected?)"
         ) from exc
+    green = np.zeros((g.n, g.n))
+    green[np.ix_(keep, keep)] = inverse
+    diagonal = np.diag(green)
+    resistances = diagonal[:, None] + diagonal[None, :] - 2.0 * green
+    resistances.setflags(write=False)
+    return resistances, pivot_ratio
+
+
+#: id(graph) -> (weak reference to the graph, resistance matrix, pivot ratio).
+#: The reference's callback drops the entry when the graph is collected, before
+#: its id can be reused. A failed elimination is never stored.
+_ELIMINATIONS: dict[int, tuple[weakref.ref, np.ndarray, float]] = {}
+
+
+def _resistance_matrix(g: WeightedGraph) -> tuple[np.ndarray, float]:
+    """The read-only resistance matrix of ``g`` and its pivot ratio, one elimination per graph object.
+
+    The first query on a graph object eliminates it and caches the result;
+    later queries on the same object read the cache. ``WeightedGraph`` is
+    frozen, so a race can at worst compute the same matrix twice. Every call
+    warns when the pivot ratio marks the matrix as ill conditioned, cached or not.
+    """
+    key = id(g)
+    entry = _ELIMINATIONS.get(key)
+    if entry is None:
+        # pop is bound now, so the callback still works while the interpreter shuts down
+        forget = weakref.ref(g, lambda _, pop=_ELIMINATIONS.pop: pop(key, None))
+        entry = _ELIMINATIONS[key] = (forget, *_eliminate(g))
+    _, resistances, pivot_ratio = entry
     if pivot_ratio > ILL_CONDITIONED_PIVOT_RATIO:
         warnings.warn(
             f"grounded Laplacian is ill conditioned (pivot ratio {pivot_ratio:.3e}); "
@@ -66,18 +109,15 @@ def _resistance_matrix(g: WeightedGraph) -> np.ndarray:
             IllConditionedWarning,
             stacklevel=3,
         )
-    green = np.zeros((g.n, g.n))
-    green[np.ix_(keep, keep)] = inverse
-    diagonal = np.diag(green)
-    return diagonal[:, None] + diagonal[None, :] - 2.0 * green
+    return resistances, pivot_ratio
 
 
 def effective_resistance(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     """Resistance distance between vertices i and j with the minimizing energy."""
     _check_pair(g, i, j)
-    _require_connected(g)
-    value = float(_resistance_matrix(g)[i, j])
-    return ResistanceReport(pair=(i, j), value=value, energy_min=1.0 / value)
+    resistances, pivot_ratio = _resistance_matrix(g)
+    value = float(resistances[i, j])
+    return ResistanceReport(pair=(i, j), value=value, energy_min=1.0 / value, pivot_ratio=pivot_ratio)
 
 
 def effective_resistance_oracle(g: WeightedGraph, i: int, j: int) -> float:
@@ -103,8 +143,7 @@ def global_resistance(g: WeightedGraph) -> float:
     """Sum of resistance distances over adjacent vertex pairs only."""
     if not g.edges:
         raise GraphError("global resistance needs at least one edge")
-    _require_connected(g)
-    r = _resistance_matrix(g)
+    r, _ = _resistance_matrix(g)
     return float(sum(r[i, j] for i, j, _ in g.edges))
 
 
@@ -155,8 +194,7 @@ def metric_check(g: WeightedGraph, tol: float = 1e-10) -> bool:
     check has slack ``tol`` times the largest resistance, so the verdict does
     not change when every conductance is scaled by the same factor.
     """
-    _require_connected(g)
-    d = _resistance_matrix(g)
+    d, _ = _resistance_matrix(g)
     slack = tol * float(d.max())
     if np.max(np.abs(d - d.T)) > slack:
         return False

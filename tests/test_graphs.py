@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ohmlab import (
     GraphError,
     GraphFormatError,
+    WeightedGraph,
     build_graph,
     cycle,
     dump_graph,
@@ -21,7 +22,7 @@ from ohmlab import (
     scale,
 )
 
-from conftest import random_connected_graph
+from conftest import log_uniform, random_connected_graph, random_cycle
 
 
 def unit_three_cycle():
@@ -148,6 +149,62 @@ class TestLaplacian:
         h = laplacian(unit_three_cycle()).entries
         with pytest.raises(ValueError):
             h[0, 0] = 0.0
+
+
+def _loop_laplacian(g):
+    """The per-edge loop ``laplacian`` replaced, kept as the bit-for-bit reference."""
+    h = np.zeros((g.n, g.n))
+    for i, j, c in g.edges:
+        h[i, j] = -c
+        h[j, i] = -c
+        h[i, i] += c
+        h[j, j] += c
+    return h
+
+
+def _assert_bit_identical(g):
+    got = laplacian(g).entries
+    want = _loop_laplacian(g)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLaplacianMatchesLoop:
+    def test_random_graphs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(2, 41))
+            ratio = 10.0 ** rng.uniform(0.0, 16.0)
+            _assert_bit_identical(random_connected_graph(rng, n, c_lo=1.0, c_hi=ratio,
+                                                         extra_edge_prob=rng.uniform(0.0, 1.0)))
+
+    def test_cycles(self):
+        rng = np.random.default_rng(32)
+        for n in range(3, 81):
+            _assert_bit_identical(random_cycle(rng, n, c_lo=1e-8, c_hi=1e8))
+
+    def test_dense_graph_sums_in_edge_order(self):
+        # every diagonal entry sums n - 1 conductances of mixed magnitude
+        rng = np.random.default_rng(33)
+        n = 60
+        edges = [(i, j, float(log_uniform(rng, 1e-6, 1e6))) for i in range(n) for j in range(i + 1, n)]
+        _assert_bit_identical(build_graph(n, edges))
+
+    def test_single_edge(self):
+        _assert_bit_identical(build_graph(2, [(0, 1, 0.1)]))
+        _assert_bit_identical(build_graph(5, [(1, 3, 7.25)]))
+
+    def test_edgeless_graph(self):
+        g = build_graph(4, [])
+        _assert_bit_identical(g)
+        assert np.array_equal(laplacian(g).entries, np.zeros((4, 4)))
+
+    def test_unsorted_edges(self):
+        # the sum runs in stored edge order, sorted or not
+        rng = np.random.default_rng(34)
+        g = random_connected_graph(rng, 25)
+        shuffled = WeightedGraph(n=g.n, edges=tuple(g.edges[k] for k in rng.permutation(len(g.edges))))
+        _assert_bit_identical(shuffled)
 
 
 class TestEnergy:

@@ -1,5 +1,8 @@
 """Resistance distance routes, global resistance, closed forms, metric checks."""
 
+import gc
+import weakref
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -14,11 +17,14 @@ from ohmlab import (
     effective_resistance,
     effective_resistance_oracle,
     global_resistance,
+    laplacian,
     metric_check,
     scale,
     three_cycle_rho,
 )
-from ohmlab.resistance import _resistance_matrix
+import ohmlab.resistance
+from ohmlab.linalg import solve_spd
+from ohmlab.resistance import ILL_CONDITIONED_PIVOT_RATIO, _ELIMINATIONS, _resistance_matrix
 
 from conftest import log_uniform, random_connected_graph, random_cycle
 
@@ -71,6 +77,90 @@ class TestEffectiveResistance:
         with pytest.warns(IllConditionedWarning):
             effective_resistance(g, 0, 1)
 
+    def test_reports_pivot_ratio(self):
+        g = cycle(4, [1.0, 2.0, 3.0, 4.0])
+        # vertex 3 has the largest degree (7) and is grounded
+        _, want = solve_spd(laplacian(g).entries[:3, :3], np.eye(3), return_pivot_ratio=True)
+        report = effective_resistance(g, 0, 2)
+        assert report.pivot_ratio == want
+        assert 1.0 <= report.pivot_ratio <= ILL_CONDITIONED_PIVOT_RATIO
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap the named functions as ``ohmlab.resistance`` binds them; return the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(ohmlab.resistance, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ohmlab.resistance, name, counted)
+    return counts
+
+
+class TestOneEliminationPerGraph:
+    def test_every_query_on_one_graph_shares_one_elimination(self, monkeypatch):
+        g = random_connected_graph(np.random.default_rng(1), 30)
+        counts = _count_calls(monkeypatch, ("is_connected", "laplacian", "solve_spd"))
+        values = [effective_resistance(g, i, j).value for i, j, _ in g.edges]
+        global_resistance(g)
+        assert metric_check(g)
+        assert len(values) > 100
+        assert counts == {"is_connected": 1, "laplacian": 1, "solve_spd": 1}
+
+    def test_cached_values_match_fresh_graphs_bit_for_bit(self):
+        g = random_connected_graph(np.random.default_rng(2), 30)
+        for i, j, _ in g.edges:
+            fresh = build_graph(g.n, g.edges)
+            assert effective_resistance(g, i, j) == effective_resistance(fresh, i, j)
+        assert global_resistance(g) == global_resistance(build_graph(g.n, g.edges))
+
+    def test_cached_matrix_is_read_only(self):
+        g = unit_cycle(5)
+        effective_resistance(g, 0, 2)
+        matrix, _ = _resistance_matrix(g)
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 0.0
+        assert effective_resistance(g, 0, 1).value == pytest.approx(0.8, rel=1e-14)
+
+    def test_entry_dies_with_its_graph(self):
+        g = unit_cycle(6)
+        key = id(g)
+        matrix = weakref.ref(_resistance_matrix(g)[0])
+        assert key in _ELIMINATIONS
+        del g
+        gc.collect()
+        assert matrix() is None
+        assert key not in _ELIMINATIONS
+
+    @pytest.mark.parametrize("g", [
+        build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]),
+        # connected, but the grounded Cholesky factorization breaks down
+        cycle(6, [1.0, 1e16, 1.0, 1e16, 1.0, 1e16]),
+    ], ids=["disconnected", "cholesky_breakdown"])
+    def test_failed_elimination_raises_on_every_query(self, g):
+        for _ in range(2):
+            with pytest.raises(DisconnectedGraphError):
+                effective_resistance(g, 0, 1)
+            with pytest.raises(DisconnectedGraphError):
+                global_resistance(g)
+            with pytest.raises(DisconnectedGraphError):
+                metric_check(g)
+            assert id(g) not in _ELIMINATIONS
+
+    def test_ill_conditioning_warns_on_every_query(self):
+        g = cycle(4, [1.0, 1e16, 1e-16, 1.0])
+        for _ in range(2):
+            with pytest.warns(IllConditionedWarning):
+                report = effective_resistance(g, 0, 1)
+            assert report.pivot_ratio > ILL_CONDITIONED_PIVOT_RATIO
+            with pytest.warns(IllConditionedWarning):
+                global_resistance(g)
+            with pytest.warns(IllConditionedWarning):
+                metric_check(g)
+
 
 class TestOracle:
     def test_unit_three_cycle(self):
@@ -115,7 +205,7 @@ class TestNetworkxOracle:
             theirs = networkx_resistances(g)
             # the matrix metric_check tests, off its zero diagonal
             off = ~np.eye(n, dtype=bool)
-            assert np.all(np.abs(_resistance_matrix(g) - theirs)[off] <= 1e-10 * theirs[off])
+            assert np.all(np.abs(_resistance_matrix(g)[0] - theirs)[off] <= 1e-10 * theirs[off])
             i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
             assert effective_resistance(g, i, j).value == pytest.approx(theirs[i, j], rel=1e-10)
             rho = sum(theirs[a, b] for a, b, _ in g.edges)
