@@ -2,8 +2,9 @@
 
 Builds a few weighted graphs, computes resistance distances through two
 routes (one Cholesky solve for all pairs vs a grounded LU solve per pair),
-checks the metric axioms numerically, and shows the classical edge-sum
-identity and the conductance scaling law.
+compares the global resistance with the series-parallel closed form for
+cycles, checks the metric axioms numerically, and shows the classical
+edge-sum identity and the conductance scaling law.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ def main():
     print(f"d_r(0,1) = {report.value:.15g}   (minimizing energy {report.energy_min:.15g})")
     print(f"grounded-solve oracle agrees: {ol.effective_resistance_oracle(tri, 0, 1):.15g}")
     print(f"global resistance rho = {ol.global_resistance(tri):.15g}")
-    print(f"closed form for 3-cycles: {ol.three_cycle_rho(1.0, 1.0, 1.0):.15g}")
+    print(f"closed form for 3-cycles: {ol.cycle_rho_closed_form([1.0, 1.0, 1.0]):.15g}")
     print(f"is a metric on the vertices: {ol.metric_check(tri)}")
 
     print()

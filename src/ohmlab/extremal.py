@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 # scan_family is defined beside figure_family, whose realization it shares
-from .families import CyclePoint, InfeasibleFamilyError, cycle_spectra, scan_family, solve_last_cycle_conductance
+from .families import InfeasibleFamilyError, cycle_spectra, scan_family, solve_last_cycle_conductance
 from .graphs import GraphError
 
 THREE_CYCLE_PRODUCT_BOUND = 6.0
@@ -33,9 +33,6 @@ _EXPANSION = 2.0
 _CONTRACTION = 0.5
 _SHRINK = 0.5
 _DIAMETER_TOL = 1e-9
-
-#: Scan rows share the realized-cycle contract of family points.
-ScanRow = CyclePoint
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,7 @@ def two_equal_eigenvalues(b: float) -> ClosedFormEigenvalues:
 
 
 def solve_third_conductance(x: float, y: float, target_rho: float) -> float:
-    """Conductance z making the 3-cycle (z, x, y) have global resistance target_rho."""
+    """Conductance z giving the 3-cycle (z, x, y) rho = target_rho; kept for the benchmark's tracer."""
     return solve_last_cycle_conductance((x, y), target_rho)
 
 
@@ -191,20 +191,23 @@ def solve_last_cycle_conductance(known: Sequence[float], target_rho: float) -> f
         raise InfeasibleFamilyError(f"known conductances must all be positive, got {values}")
     if not target_rho > 0.0:
         raise InfeasibleFamilyError(f"target rho must be positive, got {target_rho!r}")
-    s, e = resistance_sums(values)
-    denominator = 2.0 * s - target_rho
+    # S, E, rho and so t are scaled by the power of two unit, which makes the
+    # floor relative to S; dividing by unit unscales exactly
+    s, e, unit = resistance_sums(values)
+    rho = target_rho * unit
+    denominator = 2.0 * s - rho
     if abs(denominator) <= _DENOMINATOR_FLOOR:
         raise InfeasibleFamilyError(
-            f"infeasible known edges for target rho: denominator {denominator!r} vanishes "
-            f"(S={s!r}, rho={target_rho!r})"
+            f"infeasible known edges for target rho: denominator {denominator / unit!r} vanishes "
+            f"(S={s / unit!r}, rho={target_rho!r})"
         )
-    t = (target_rho * s - 2.0 * e) / denominator
+    t = (rho * s - 2.0 * e) / denominator
     if not t > 0.0:
         raise InfeasibleFamilyError(
-            f"infeasible known edges for target rho: solved resistance {t!r} is not positive "
-            f"(S={s!r}, E={e!r}, rho={target_rho!r})"
+            f"infeasible known edges for target rho: solved resistance {t / unit!r} is not positive "
+            f"(S={s / unit!r}, E={e / unit / unit!r}, rho={target_rho!r})"
         )
-    return 1.0 / t
+    return unit / t
 
 
 # Edge k joins vertices k and k+1 (mod n): 3-cycles (0: c01, 1: c12, 2: c02)

@@ -40,11 +40,12 @@ class DisconnectedGraphError(GraphError):
 class WeightedGraph:
     """Immutable weighted graph: vertex count and canonical (i, j, c) edges.
 
-    Construct through :func:`build_graph` or :func:`cycle`, which validate and
-    canonicalize. Instances are safe to share between concurrent tasks: the
-    resistance queries of :mod:`ohmlab.resistance` cache one elimination per
-    graph object outside it, and since a graph never changes, two tasks that
-    query it at once can at worst both compute that same elimination.
+    Construct through :func:`build_graph`, which validates and canonicalizes;
+    :func:`cycle`, :func:`scale` and :func:`parse_graph` all go through it.
+    Instances are safe to share between concurrent tasks: the resistance
+    queries of :mod:`ohmlab.resistance` cache one elimination per graph
+    object outside it, and since a graph never changes, two tasks that query
+    it at once can at worst both compute that same elimination.
     """
 
     n: int
@@ -121,17 +122,7 @@ def laplacian(g: WeightedGraph) -> SymmetricMatrix:
     weights = columns[:, 2:] * _ENTRY_SIGNS
     # bincount returns integer zeros when it is given no edges at all
     h = np.bincount(flat.ravel(), weights.ravel(), n * n).astype(float, copy=False)
-    return SymmetricMatrix._trusted(h.reshape(n, n))
-
-
-def three_cycle_graph(c01: float, c02: float, c12: float) -> WeightedGraph:
-    """3-cycle from the vertex-pair triple (c01, c02, c12), i.e. cycle(3, (c01, c12, c02))."""
-    return cycle(3, (c01, c12, c02))
-
-
-def three_cycle_laplacian(c01: float, c02: float, c12: float) -> SymmetricMatrix:
-    """Laplacian of the 3-cycle with vertex-pair conductances (c01, c02, c12)."""
-    return laplacian(three_cycle_graph(c01, c02, c12))
+    return SymmetricMatrix(h.reshape(n, n))
 
 
 def energy(g: WeightedGraph, values: Sequence[float]) -> float:
@@ -147,11 +138,11 @@ def energy(g: WeightedGraph, values: Sequence[float]) -> float:
 
 
 def scale(g: WeightedGraph, alpha: float) -> WeightedGraph:
-    """Multiply every conductance by alpha > 0."""
+    """Multiply every conductance by alpha > 0; an overflowing or vanishing edge raises GraphError."""
     alpha = float(alpha)
-    if not alpha > 0.0 or not np.isfinite(alpha):
+    if not alpha > 0.0 or not math.isfinite(alpha):
         raise GraphError(f"scale factor must be a positive finite real, got {alpha!r}")
-    return WeightedGraph(n=g.n, edges=tuple((i, j, c * alpha) for i, j, c in g.edges))
+    return build_graph(g.n, ((i, j, c * alpha) for i, j, c in g.edges))
 
 
 def is_connected(g: WeightedGraph) -> bool:

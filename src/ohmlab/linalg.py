@@ -53,28 +53,20 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
+        a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        # (a + a')/2 is a bit-exact no-op when a is already symmetric
-        object.__setattr__(self, "entries", _frozen((a + a.T) / 2.0))
-
-    @classmethod
-    def _trusted(cls, a: np.ndarray) -> SymmetricMatrix:
-        """Wrap a square float array its caller built exactly symmetric and owns.
-
-        Skips the copy and the symmetrization but keeps the finiteness check,
-        since finite entries can still sum to infinity. The array is frozen.
-        """
+        # the midpoint lo + (hi - lo)/2 of a and a' is symmetric bit for bit, a
+        # no-op on symmetric input and, unlike (a + a')/2, cannot overflow on
+        # entries of one sign; opposite-signed ones may, and fail the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = np.minimum(a, a.T)
+            a = lo + (np.maximum(a, a.T) - lo) / 2.0
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", _frozen(a))
-        return matrix
+        object.__setattr__(self, "entries", _frozen(a))
 
     @property
     def dim(self) -> int:

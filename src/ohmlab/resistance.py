@@ -15,6 +15,7 @@ series-parallel closed forms cover cycles.
 
 from __future__ import annotations
 
+import math
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -147,22 +148,24 @@ def global_resistance(g: WeightedGraph) -> float:
     return float(sum(r[i, j] for i, j, _ in g.edges))
 
 
-def three_cycle_rho(c01: float, c02: float, c12: float) -> float:
-    """Global resistance of a 3-cycle, 2(c01+c02+c12) / (c01*c02 + c01*c12 + c02*c12),
-    evaluated as the 2E/S of :func:`cycle_rho_closed_form`."""
-    return cycle_rho_closed_form((c01, c12, c02))
-
-
-def resistance_sums(conductances: Sequence[float]) -> tuple[float, float]:
-    """(S, E) of edges in series: the sum of the resistances r_e = 1/c_e and
-    the sum of their pairwise products r_e r_f over e < f, on plain floats."""
+def resistance_sums(conductances: Sequence[float]) -> tuple[float, float, float]:
+    """(S, E, unit) of edges in series, on plain floats: the sum of the
+    resistances r_e = 1/c_e and the sum of their pairwise products r_e r_f
+    over e < f, of the r_e scaled by the power of two ``unit`` that brings S
+    into [1/2, 1). The exact scaling keeps E from underflowing or overflowing."""
+    resistances = [1.0 / c for c in conductances]
+    total = 0.0
+    for r in resistances:
+        total += r
+    _, k = math.frexp(total)
+    unit = math.ldexp(1.0, -k)
     total = 0.0
     pairs = 0.0
-    for c in conductances:
-        r = 1.0 / c
+    for r in resistances:
+        r *= unit
         pairs += r * total
         total += r
-    return total, pairs
+    return total, pairs, unit
 
 
 def cycle_rho_closed_form(conductances: Sequence[float]) -> float:
@@ -171,7 +174,8 @@ def cycle_rho_closed_form(conductances: Sequence[float]) -> float:
     With edge resistances r_e = 1/c_e and S their sum, each adjacent pair
     sees r_e (S - r_e) / S, so the total is (S^2 - sum of r_e^2) / S = 2E/S,
     E being the sum of the pairwise products r_e r_f. E adds positive terms
-    only, so the result keeps full relative accuracy at any conductance ratio.
+    only, so the result keeps full relative accuracy at any conductance ratio,
+    and :func:`resistance_sums` scales it free of underflow and overflow.
     """
     try:
         values = [float(c) for c in conductances]
@@ -181,8 +185,8 @@ def cycle_rho_closed_form(conductances: Sequence[float]) -> float:
         raise GraphError(f"a cycle needs at least 3 conductances, got {len(values)}")
     if not all(c > 0.0 for c in values):
         raise GraphError("conductances must all be positive")
-    total, pairs = resistance_sums(values)
-    return 2.0 * pairs / total
+    total, pairs, unit = resistance_sums(values)
+    return 2.0 * pairs / total / unit
 
 
 def metric_check(g: WeightedGraph, tol: float = 1e-10) -> bool:

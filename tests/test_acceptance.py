@@ -21,9 +21,6 @@ from ohmlab import (
     monotonicity_check,
     scale,
     search_counterexample,
-    three_cycle_graph,
-    three_cycle_laplacian,
-    three_cycle_rho,
     two_equal_eigenvalues,
     unit_cycle_baseline,
     verify_theorem,
@@ -67,7 +64,7 @@ def test_criterion_2_two_equal_family_grid():
     lam2 = np.empty(len(grid))
     for k, b in enumerate(grid):
         c01 = b * (2.0 - b) / (2.0 * b - 1.0)
-        h = three_cycle_laplacian(c01, b, b)
+        h = laplacian(cycle(3, (c01, b, b)))
         values = eigen_sym(h).eigenvalues
         lam1[k], lam2[k] = values[1], values[2]
         expected_a = 3.0 * b / (2.0 * b - 1.0)
@@ -130,9 +127,9 @@ def test_criterion_4_resistance_cross_oracles():
         n = int(rng.integers(3, 11))
         g = random_connected_graph(rng, n)
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-        schur = effective_resistance(g, i, j).value
+        matrix = effective_resistance(g, i, j).value
         grounded = effective_resistance_oracle(g, i, j)
-        assert abs(schur - grounded) <= 1e-10 * schur
+        assert abs(matrix - grounded) <= 1e-10 * matrix
         foster = sum(c * effective_resistance(g, a, b).value for a, b, c in g.edges)
         assert abs(foster - (n - 1)) <= 1e-9
     for _ in range(500):
@@ -140,14 +137,15 @@ def test_criterion_4_resistance_cross_oracles():
         conducts = log_uniform(rng, 1e-2, 1e2, size=n).tolist()
         g = cycle(n, conducts)
         closed = cycle_rho_closed_form(conducts)
-        schur_rho = global_resistance(g)
-        assert abs(closed - schur_rho) <= 1e-10 * closed
+        matrix_rho = global_resistance(g)
+        assert abs(closed - matrix_rho) <= 1e-10 * closed
         foster = sum(c * effective_resistance(g, a, b).value for a, b, c in g.edges)
         assert abs(foster - (n - 1)) <= 1e-9
     elapsed = time.perf_counter() - start
 
     assert elapsed < 5.0
-    _report(4, "Schur vs grounded vs closed-form resistance plus the edge-sum identity", elapsed, 5.0)
+    _report(4, "resistance matrix vs grounded LU vs closed-form resistance plus the edge-sum identity",
+            elapsed, 5.0)
 
 
 def test_criterion_5_scaling_law():
@@ -156,7 +154,8 @@ def test_criterion_5_scaling_law():
     start = time.perf_counter()
     for _ in range(100):
         conducts = log_uniform(rng, 1e-2, 1e2, size=3).tolist()
-        g = three_cycle_graph(*conducts)
+        c01, c02, c12 = conducts
+        g = cycle(3, (c01, c12, c02))
         rho = global_resistance(g)
         values = eigen_sym(laplacian(g)).eigenvalues
         for alpha in (1e-3, 1.0, 1e3):
@@ -192,7 +191,7 @@ def test_criterion_6_monotonicity_scans():
 
 
 def _confirmed_counterexample(report) -> bool:
-    """Re-derive a flagged counterexample through the Jacobi + Schur routes."""
+    """Re-derive a flagged counterexample through `eigen_sym` and `global_resistance`."""
     threshold = 1e-7
     if report.best_max_product > report.baseline_low * (1.0 + threshold):
         g = cycle(report.n, list(report.best_max_conductances))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ohmlab
-from ohmlab import cycle_rho_closed_form, scan_family, three_cycle_rho
+from ohmlab import cycle_rho_closed_form, scan_family
 from ohmlab.cli import main
 
 UNIT_THREE = "n 3\n0 1 1\n0 2 1\n1 2 1\n"
@@ -229,7 +229,7 @@ class TestFigureCommand:
                 assert cell["c_1_2"] == 1.0 / param and cell["c_2_3"] == param
                 assert cell["c_0_3"] == (1.0 if family == "fig4" else (param + 1.0) / 2.0)
             if family in ("fig1", "fig2", "fig3"):
-                rho = three_cycle_rho(cell["c_0_1"], cell["c_0_2"], cell["c_1_2"])
+                rho = cycle_rho_closed_form((cell["c_0_1"], cell["c_1_2"], cell["c_0_2"]))
             else:
                 rho = cycle_rho_closed_form([cell[k] for k in ("c_0_1", "c_1_2", "c_2_3", "c_0_3")])
             assert rho == pytest.approx(cell["rho"], rel=1e-12)

@@ -17,8 +17,6 @@ from ohmlab import (
     scan_family,
     search_counterexample,
     solve_last_cycle_conductance,
-    three_cycle_graph,
-    three_cycle_rho,
     unit_cycle_baseline,
     verify_theorem,
 )

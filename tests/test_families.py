@@ -18,14 +18,10 @@ from ohmlab import (
     reference_conductance,
     scan_family,
     solve_last_cycle_conductance,
-    solve_third_conductance,
-    three_cycle_graph,
-    three_cycle_laplacian,
-    three_cycle_rho,
     two_equal_eigenvalues,
     two_equal_family,
 )
-from ohmlab.families import cycle_spectra
+from ohmlab.families import cycle_spectra, solve_third_conductance
 
 from conftest import log_uniform
 
@@ -68,7 +64,7 @@ class TestTwoEqualFamily:
         v_a = np.array([1.0, -1.0, 0.0])
         v_b = np.array([1.0, 1.0, -2.0])
         for b in GRID_B:
-            h = laplacian(three_cycle_graph(b * (2 - b) / (2 * b - 1), b, b)).entries
+            h = laplacian(cycle(3, (b * (2 - b) / (2 * b - 1), b, b))).entries
             lam_a = 3.0 * b / (2.0 * b - 1.0)
             lam_b = 3.0 * b
             scale = np.linalg.norm(h, "fro")
@@ -111,7 +107,7 @@ class TestSolveThirdConductance:
         # (x, y) = (3/2, 1) at rho = 2 gives 2/3
         z = solve_third_conductance(1.5, 1.0, 2.0)
         assert z == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert three_cycle_rho(z, 1.5, 1.0) == pytest.approx(2.0, rel=1e-12)
+        assert cycle_rho_closed_form((z, 1.0, 1.5)) == pytest.approx(2.0, rel=1e-12)
 
     def test_symmetric_point(self):
         assert solve_third_conductance(1.0, 1.0, 2.0) == 1.0
@@ -141,7 +137,7 @@ class TestSolveThirdConductance:
             hi = 2.0 * (x + y) / (x * y)
             rho = lo + (hi - lo) * rng.uniform(0.01, 0.99)
             z = solve_third_conductance(x, y, rho)
-            assert abs(three_cycle_rho(z, x, y) - rho) <= 1e-12 * rho
+            assert abs(cycle_rho_closed_form((z, y, x)) - rho) <= 1e-12 * rho
 
 
 class TestSolveLastCycleConductance:
@@ -179,6 +175,20 @@ class TestSolveLastCycleConductance:
             got = cycle_rho_closed_form(known.tolist() + [z])
             assert abs(got - rho) <= 1e-11 * rho
 
+    @pytest.mark.parametrize("alpha", [1e15, 1e-15, 1e155, 1e-155, 1e200, 1e-200, 1e300, 1e-300])
+    def test_scale_free(self, alpha):
+        # the denominator floor is relative to S, and E neither underflows nor
+        # overflows, so scaled knowns and rho give the scaled answer; the first
+        # cycle at alpha = 1e15 is ([1e15, 1e15], 2e-15), whose answer is 1e15
+        rng = np.random.default_rng(23)
+        corpus = [np.ones(3)] + [log_uniform(rng, 1e-1, 1e1, size=int(rng.integers(3, 9)))
+                                 for _ in range(200)]
+        for c in corpus:
+            rho = cycle_rho_closed_form(c)
+            want = solve_last_cycle_conductance(c[:-1], rho)
+            got = solve_last_cycle_conductance(alpha * c[:-1], rho / alpha) / alpha
+            assert abs(got - want) <= 1e-12 * want
+
 
 class TestFigureFamilies:
     def test_fig1_unit_point_products(self):
@@ -199,7 +209,7 @@ class TestFigureFamilies:
         assert point.conductances[1] == pytest.approx(15.0 / 8.0, abs=1e-12)
         assert point.conductances[1] == pytest.approx(
             reference_conductance("fig3", 0.75), abs=1e-12)
-        assert three_cycle_rho(*point.conductances) == pytest.approx(2.0, rel=1e-12)
+        assert cycle_rho_closed_form(point.conductances) == pytest.approx(2.0, rel=1e-12)
 
     def test_fig2_solver_beats_catalogued_formula(self):
         point = figure_family("fig2", 1.0)
@@ -207,7 +217,7 @@ class TestFigureFamilies:
         # the catalogued value 1 fails the rho = 2 constraint: it gives 7/4
         ref = reference_conductance("fig2", 1.0)
         assert ref == 1.0
-        assert three_cycle_rho(ref, point.conductances[1], point.conductances[2]) == pytest.approx(
+        assert cycle_rho_closed_form((ref, point.conductances[1], point.conductances[2])) == pytest.approx(
             7.0 / 4.0, rel=1e-14)
 
     def test_fig4_unit_point(self):
@@ -271,7 +281,7 @@ class TestFigureFamilies:
 
     def test_eigenvalues_match_numpy_eigvalsh(self):
         point = figure_family("fig4", 1.7)
-        spec = eigen_sym(three_cycle_laplacian(1.0, 1.0, 1.0))
+        spec = eigen_sym(laplacian(cycle(3, (1.0, 1.0, 1.0))))
         assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
         h = laplacian(_cycle_graph_of(point)).entries
         theirs = np.linalg.eigvalsh(h)

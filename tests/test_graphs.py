@@ -139,10 +139,11 @@ class TestLaplacian:
             assert np.array_equal(h, h.T)
             assert np.max(np.abs(h.sum(axis=1))) <= 1e-12 * np.max(np.diag(h))
 
+    @pytest.mark.filterwarnings("error")
     def test_diagonal_overflow_rejected(self):
         # every conductance is finite, but two of them sum past the float range
         g = cycle(3, [1e308, 1e308, 1.0])
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             laplacian(g)
 
     def test_entries_are_read_only(self):
@@ -193,6 +194,10 @@ class TestLaplacianMatchesLoop:
     def test_single_edge(self):
         _assert_bit_identical(build_graph(2, [(0, 1, 0.1)]))
         _assert_bit_identical(build_graph(5, [(1, 3, 7.25)]))
+
+    def test_entries_near_the_float_limit(self):
+        # the matrix constructor keeps finite entries above ~9e307 as they are
+        _assert_bit_identical(cycle(3, [1e308, 1.0, 1.0]))
 
     def test_edgeless_graph(self):
         g = build_graph(4, [])
@@ -256,6 +261,12 @@ class TestScale:
     def test_rejects_bad_factor(self, alpha):
         with pytest.raises(GraphError):
             scale(cycle(3, [1.0, 2.0, 3.0]), alpha)
+
+    @pytest.mark.parametrize("conductances,alpha", [([1e10, 1.0, 1.0], 1e300), ([1e-10, 1.0, 1.0], 1e-320)])
+    def test_rejects_overflowing_or_vanishing_edge(self, conductances, alpha):
+        # 1e310 overflows to inf and 1e-330 underflows to 0
+        with pytest.raises(GraphError, match="positive finite"):
+            scale(cycle(3, conductances), alpha)
 
     @pytest.mark.parametrize("alpha", [2.0, 0.5, 1024.0, 2.0 ** -7])
     def test_laplacian_commutes_with_power_of_two_scaling(self, alpha):

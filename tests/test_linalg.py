@@ -55,6 +55,34 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError, match="finite"):
             SymmetricMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [
+        [[1.0, 1e308], [-1e308, 1.0]],  # the difference of the pair overflows
+        [[np.inf, 0.0], [0.0, 1.0]],  # inf - inf in the midpoint is NaN
+    ])
+    def test_rejects_overflow_and_non_finite_without_warnings(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix(np.array(a))
+
+    def test_keeps_entries_near_the_float_limit(self):
+        # symmetrizing by (a + a')/2 would overflow 1e308 to inf
+        a = np.diag([1e308, 1.0])
+        assert np.array_equal(SymmetricMatrix(a).entries, a)
+        assert np.array_equal(eigen_sym(a).eigenvalues, [1.0, 1e308])
+
+    def test_same_signed_pair_near_the_float_limit(self):
+        m = SymmetricMatrix(np.array([[1.0, 1e308], [1.5e308, 1.0]]))
+        assert m.entries[0, 1] == m.entries[1, 0] == 1.25e308
+
+    def test_symmetric_bit_for_bit_between_the_pair(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            a = rng.standard_normal((n, n)) * np.exp(rng.uniform(-40.0, 40.0, size=(n, n)))
+            s = SymmetricMatrix(a).entries
+            assert np.array_equal(s, s.T)
+            assert np.all(np.minimum(a, a.T) <= s) and np.all(s <= np.maximum(a, a.T))
+
     def test_entries_read_only(self):
         m = SymmetricMatrix(np.eye(2))
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from ohmlab import (
     laplacian,
     metric_check,
     scale,
-    three_cycle_rho,
 )
 import ohmlab.resistance
 from ohmlab.linalg import solve_spd
@@ -235,19 +234,19 @@ class TestGlobalResistance:
 
 class TestThreeCycleRho:
     def test_unit_weights(self):
-        assert three_cycle_rho(1.0, 1.0, 1.0) == 2.0
+        assert cycle_rho_closed_form((1.0, 1.0, 1.0)) == 2.0
 
     def test_two_equal_family_point(self):
         # (3/8, 3/2, 3/2) is built to have rho = 2; direct substitution
-        assert three_cycle_rho(0.375, 1.5, 1.5) == pytest.approx(2.0, rel=1e-15)
+        assert cycle_rho_closed_form((0.375, 1.5, 1.5)) == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.0, 1e3])
     def test_scaling_law(self, alpha):
-        assert three_cycle_rho(alpha, alpha, alpha) == pytest.approx(2.0 / alpha, rel=1e-15)
+        assert cycle_rho_closed_form((alpha, alpha, alpha)) == pytest.approx(2.0 / alpha, rel=1e-15)
 
     def test_rejects_non_positive(self):
         with pytest.raises(GraphError, match="positive"):
-            three_cycle_rho(1.0, -1.0, 1.0)
+            cycle_rho_closed_form((1.0, 1.0, -1.0))
 
     def test_decreasing_in_each_conductance(self):
         # with two conductances fixed, rho strictly decreases in the third
@@ -255,7 +254,7 @@ class TestThreeCycleRho:
         for _ in range(50):
             x, y = log_uniform(rng, 0.1, 10.0, size=2)
             grid = np.linspace(0.1, 5.0, 40)
-            values = [three_cycle_rho(z, x, y) for z in grid]
+            values = [cycle_rho_closed_form((z, y, x)) for z in grid]
             assert np.all(np.diff(values) < 0.0)
 
 
@@ -280,7 +279,20 @@ class TestCycleClosedForm:
         for _ in range(50):
             c01, c02, c12 = log_uniform(rng, 1e-2, 1e2, size=3)
             closed = cycle_rho_closed_form([c01, c12, c02])
-            assert closed == pytest.approx(three_cycle_rho(c01, c02, c12), rel=1e-12)
+            explicit = 2.0 * (c01 + c02 + c12) / (c01 * c02 + c01 * c12 + c02 * c12)
+            assert closed == pytest.approx(explicit, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e15, 1e-15, 1e155, 1e-155, 1e200, 1e-200, 1e300, 1e-300])
+    def test_scale_free(self, alpha):
+        # E sums products of resistances, so unscaled it underflows to 0 or
+        # overflows to inf from about 1e155 on; scaled by a power of two it does not
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(12)
+        corpus = [np.array([1.0, 2.0, 3.0])] + [log_uniform(rng, 1e-2, 1e2, size=int(rng.integers(3, 9)))
+                                                for _ in range(200)]
+        for c in corpus:
+            want = cycle_rho_closed_form(c)
+            assert abs(alpha * cycle_rho_closed_form(alpha * c) - want) <= 4 * eps * want
 
     def test_rejects_short_list(self):
         with pytest.raises(GraphError):
