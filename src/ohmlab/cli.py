@@ -14,10 +14,11 @@ import sys
 import numpy as np
 
 from .extremal import scan_family, search_counterexample, unit_cycle_baseline, verify_theorem
-from .families import DISPUTED_REFERENCES, FIGURE_FAMILIES, InfeasibleFamilyError, reference_conductance
+from .families import (DISPUTED_REFERENCES, FIGURE_FAMILIES, InfeasibleFamilyError, cycle_spectra,
+                       reference_conductance)
 from .graphs import GraphError, GraphFormatError, laplacian, load_graph
 from .linalg import eigen_sym
-from .resistance import cycle_rho_closed_form, effective_resistance, global_resistance
+from .resistance import effective_resistance, global_resistance
 
 #: The CLI names 3-cycle edges by vertex pair, (c01, c02, c12), for ``verify``
 #: arguments and figure CSV columns; entry k is the cycle edge (c01, c12, c02)
@@ -73,15 +74,17 @@ def _cmd_verify(args) -> int:
     return 0 if (report.lower_ok and report.upper_ok) else 10
 
 
-def _reference_rho(family: str, point) -> tuple[float, float]:
-    """(reference conductance, its rho error) for the solved edge of one row."""
-    ref = reference_conductance(family, point.parameter)
+def _reference_columns(family: str, rows) -> list[tuple[float, float]]:
+    """(reference conductance, its rho error) for the solved edge of each row, by one
+    :func:`cycle_spectra` call; the error is NaN where the reference is not positive and finite."""
     spec = FIGURE_FAMILIES[family]
-    if ref is None or not (np.isfinite(ref) and ref > 0.0):
-        return (ref if ref is not None else float("nan")), float("nan")
-    conducts = list(point.conductances)
-    conducts[spec.solved_edge] = ref
-    return ref, cycle_rho_closed_form(conducts) - spec.target_rho
+    references = np.array([reference_conductance(family, point.parameter) for point in rows])
+    cycles = np.array([point.conductances for point in rows])
+    cycles[:, spec.solved_edge] = references
+    usable = (references > 0.0) & (references < np.inf)
+    errors = np.full(len(rows), np.nan)
+    errors[usable] = cycle_spectra(cycles[usable])[1] - spec.target_rho
+    return list(zip(references.tolist(), errors.tolist()))
 
 
 def _cmd_figure(args) -> int:
@@ -91,7 +94,6 @@ def _cmd_figure(args) -> int:
     spec = FIGURE_FAMILIES[args.family]
     grid = np.linspace(args.lo, args.hi, args.steps)
     rows = scan_family(args.family, grid)
-    skipped = len(grid) - len(rows)
     with_reference = args.family in DISPUTED_REFERENCES
     if spec.n == 3:
         columns = _THREE_CYCLE_PAIR_ORDER
@@ -106,26 +108,21 @@ def _cmd_figure(args) -> int:
     if with_reference:
         headers += ["reference_c", "reference_rho_err"]
 
+    references = _reference_columns(args.family, rows) if with_reference else [()] * len(rows)
     lines = [",".join(headers)]
-    max_reference_err = 0.0
-    for point in rows:
+    for point, reference in zip(rows, references):
         cells = [repr(point.parameter)]
         cells += [repr(point.conductances[k]) for k in columns]
         cells.append(repr(point.rho))
         cells += [repr(v) for v in point.eigenvalues[1:]]
         cells.append(repr(point.lambda1_rho))
         cells.append(repr(point.lambdamax_rho))
-        if with_reference:
-            ref, err = _reference_rho(args.family, point)
-            cells += [repr(ref), repr(err)]
-            if np.isfinite(err):
-                max_reference_err = max(max_reference_err, abs(err))
+        cells += [repr(v) for v in reference]
         lines.append(",".join(cells))
-    lines.append(f"# skipped {skipped} infeasible grid points of {len(grid)}")
+    lines.append(f"# skipped {len(grid) - len(rows)} infeasible grid points of {len(grid)}")
     if with_reference:
-        lines.append(
-            f"# reference formula: max |rho - {_fmt(spec.target_rho)}| = {_fmt(max_reference_err)}"
-        )
+        worst = max((abs(err) for _, err in references if np.isfinite(err)), default=0.0)
+        lines.append(f"# reference formula: max |rho - {_fmt(spec.target_rho)}| = {_fmt(worst)}")
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")

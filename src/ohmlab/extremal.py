@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 # scan_family is defined beside figure_family, whose realization it shares
-from .families import InfeasibleFamilyError, cycle_spectra, scan_family, solve_last_cycle_conductance
+from .families import THREE_CYCLE_TARGET_RHO, _last_cycle_conductances, cycle_spectra, scan_family
 from .graphs import GraphError
 
 THREE_CYCLE_PRODUCT_BOUND = 6.0
@@ -172,7 +172,8 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
     b >= 1 on r >= b, decreasing for b <= 1 on r <= b); ``lemma44a``/``lemma44b``
     track the smallest positive eigenvalue with the opposite directions.
     Grid points where no positive third conductance exists are skipped; a
-    non-finite grid value raises ``ValueError``.
+    non-finite grid value raises ``ValueError``. The whole grid takes one
+    solve and one :func:`~ohmlab.families.cycle_spectra` call.
     """
     try:
         eig_index, sign, regime = _MONOTONICITY_CHECKS[check]
@@ -181,26 +182,22 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
             f"unknown check {check!r}; choose from {sorted(_MONOTONICITY_CHECKS)}"
         ) from None
     b = float(b)
-    grid = [float(r) for r in r_grid]
-    if not all(math.isfinite(r) for r in grid):
+    grid = np.sort(np.asarray(r_grid, dtype=float))
+    if not np.isfinite(grid).all():
         raise ValueError(f"{check} grid values must be finite")
-    grid.sort()
     if regime == "upper":
         if not b >= 1.0:
             raise ValueError(f"{check} requires b >= 1, got {b!r}")
-        if any(r < b for r in grid):
+        if (grid < b).any():
             raise ValueError(f"{check} scans r >= b = {b!r}; grid goes below")
     else:
         if not 0.0 < b <= 1.0:
             raise ValueError(f"{check} requires 0 < b <= 1, got {b!r}")
-        if any(not 0.0 < r <= b for r in grid):
+        if not ((0.0 < grid) & (grid <= b)).all():
             raise ValueError(f"{check} scans 0 < r <= b = {b!r}; grid goes outside")
-    rows = []
-    for r in grid:
-        try:
-            rows.append((solve_last_cycle_conductance((b, r), 2.0), b, r))
-        except InfeasibleFamilyError:
-            continue
+    known = np.column_stack((np.full_like(grid, b), grid))
+    free, _ = _last_cycle_conductances(known, THREE_CYCLE_TARGET_RHO)
+    rows = np.column_stack((free, known))[free > 0.0]
     if len(rows) < 2:
         raise ValueError(f"fewer than two feasible grid points for {check} at b={b!r}")
     eigenvalues, _ = cycle_spectra(rows)

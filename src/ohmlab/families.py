@@ -8,11 +8,12 @@ conductance; the catalogued closed-form expressions for families ``fig2`` and
 curves so the discrepancy stays visible (see ``reference_conductance``).
 
 Every conductance tuple, 3-cycles included, is in cycle edge order
-(c01, c12, ..., c_{n-1,0}), the order of :func:`~ohmlab.graphs.cycle`, and one
-solver, :func:`solve_last_cycle_conductance`, supplies the free edge of every
-family. One evaluator, :func:`cycle_spectra`, gives the spectra and global
-resistances of a stack of such cycles to every family point, scan, theorem
-check and search step, a whole grid or search batch at a time.
+(c01, c12, ..., c_{n-1,0}), the order of :func:`~ohmlab.graphs.cycle`. One
+solver gives the free edge of a whole grid of family points at once (its
+one-row case is :func:`solve_last_cycle_conductance`), and one evaluator,
+:func:`cycle_spectra`, the spectra and global resistances of a stack of such
+cycles to every family point, scan, theorem check and search step. Both take
+S and E from the one series sum, :func:`~ohmlab.resistance.resistance_sums`.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class CyclePoint:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Declarative family: fixed-edge formulas plus one solved edge and a target rho."""
+    """Declarative family: fixed-edge formulas (elementwise on arrays), one solved edge, a target rho."""
 
     name: str
     n: int
@@ -94,9 +95,9 @@ def cycle_spectra(conductances) -> tuple[np.ndarray, np.ndarray]:
     Takes an (m, n) array of positive conductances, one cycle per row in edge
     order. Returns the (m, n) ascending eigenvalues, from one
     ``numpy.linalg.eigvalsh`` call on the stacked Laplacians, and the (m,)
-    global resistances as the cancellation-free 2E/S, E summed over a
-    cumulative sum. An overflowing diagonal raises ``ValueError``;
-    ``numpy.linalg.LinAlgError`` propagates.
+    global resistances as the cancellation-free 2E/S on the sums of
+    :func:`~ohmlab.resistance.resistance_sums`. An overflowing diagonal raises
+    ``ValueError``; ``numpy.linalg.LinAlgError`` propagates.
     """
     c = np.asarray(conductances, dtype=float)
     m, n = c.shape
@@ -108,29 +109,24 @@ def cycle_spectra(conductances) -> tuple[np.ndarray, np.ndarray]:
     h[:, upper] = h[:, lower] = -c
     h[:, diagonal] = degrees
     eigenvalues = np.linalg.eigvalsh(h.reshape(m, n, n))
-    # E sums products of resistances: dividing each row by the power of two
-    # that brings its S into [1/2, 1) keeps E from underflowing or overflowing,
-    # and 2E/S scales back exactly
-    r = 1.0 / c
-    total, exponents = np.frexp(r.sum(axis=1))
-    r = np.ldexp(r, -exponents[:, None])
-    pairs = (r[:, 1:] * np.cumsum(r, axis=1)[:, :-1]).sum(axis=1)
+    total, pairs, exponents = resistance_sums(c)
     return eigenvalues, np.ldexp(2.0 * pairs / total, exponents)
 
 
-def _realize(family: str, points: Sequence[tuple[float, tuple[float, ...]]]) -> list[CyclePoint]:
-    """Family points from (parameter, positive conductances) pairs, by one :func:`cycle_spectra` call."""
-    eigenvalues, rhos = cycle_spectra([values for _, values in points])
+def _realize(family: str, params: Sequence[float], conductances: np.ndarray) -> list[CyclePoint]:
+    """Family points at the given parameters from their (m, n) conductances, by one :func:`cycle_spectra` call."""
+    eigenvalues, rhos = cycle_spectra(conductances)
     return [
         CyclePoint(
             family=family,
             parameter=parameter,
-            conductances=values,
+            conductances=tuple(values),
             rho=rho,
             eigenvalues=tuple(spectrum),
             products=tuple(x * rho for x in spectrum[1:]),
         )
-        for (parameter, values), spectrum, rho in zip(points, eigenvalues.tolist(), rhos.tolist())
+        for parameter, values, spectrum, rho
+        in zip(params, conductances.tolist(), eigenvalues.tolist(), rhos.tolist())
     ]
 
 
@@ -147,7 +143,7 @@ def two_equal_family(b: float) -> CyclePoint:
             f"two-equal family needs b strictly inside (1/2, 2), got {b!r}"
         )
     c01 = b * (2.0 - b) / (2.0 * b - 1.0)
-    return _realize("two-equal", [(b, (c01, b, b))])[0]
+    return _realize("two-equal", [b], np.array([(c01, b, b)]))[0]
 
 
 def two_equal_eigenvalues(b: float) -> ClosedFormEigenvalues:
@@ -176,10 +172,10 @@ def solve_last_cycle_conductance(known: Sequence[float], target_rho: float) -> f
 
     In resistance terms, with S the sum of the known edge resistances and E
     the sum of their pairwise products, the missing resistance is
-    t = (rho S - 2E)/(2S - rho). Works on plain floats: callers pass two or
-    three knowns, where numpy's per-call overhead would dominate. Infeasible
-    input (a vanishing denominator or t <= 0) raises
-    :class:`InfeasibleFamilyError`.
+    t = (rho S - 2E)/(2S - rho). This is the one-row case of the grid solver
+    behind :func:`scan_family` and :func:`~ohmlab.extremal.monotonicity_check`.
+    Known conductances must be positive and finite; infeasible input (a
+    vanishing denominator or t <= 0) raises :class:`InfeasibleFamilyError`.
     """
     try:
         values = [float(c) for c in known]
@@ -187,27 +183,39 @@ def solve_last_cycle_conductance(known: Sequence[float], target_rho: float) -> f
         raise InfeasibleFamilyError(f"known conductances must be a flat sequence of reals, got {known!r}") from None
     if len(values) < 2:
         raise InfeasibleFamilyError(f"need at least 2 known conductances, got {len(values)}")
-    if not all(c > 0.0 for c in values):
-        raise InfeasibleFamilyError(f"known conductances must all be positive, got {values}")
+    if not all(0.0 < c < math.inf for c in values):
+        raise InfeasibleFamilyError(f"known conductances must all be positive and finite, got {values}")
     if not target_rho > 0.0:
         raise InfeasibleFamilyError(f"target rho must be positive, got {target_rho!r}")
-    # S, E, rho and so t are scaled by the power of two unit, which makes the
-    # floor relative to S; dividing by unit unscales exactly
-    s, e, unit = resistance_sums(values)
-    rho = target_rho * unit
-    denominator = 2.0 * s - rho
+    (free,), diagnostics = _last_cycle_conductances([values], target_rho)
+    if not math.isnan(free):
+        return float(free)
+    t, denominator, s, e, unit = (float(x[0]) for x in diagnostics)
     if abs(denominator) <= _DENOMINATOR_FLOOR:
-        raise InfeasibleFamilyError(
-            f"infeasible known edges for target rho: denominator {denominator / unit!r} vanishes "
-            f"(S={s / unit!r}, rho={target_rho!r})"
-        )
-    t = (rho * s - 2.0 * e) / denominator
-    if not t > 0.0:
-        raise InfeasibleFamilyError(
-            f"infeasible known edges for target rho: solved resistance {t / unit!r} is not positive "
-            f"(S={s / unit!r}, E={e / unit / unit!r}, rho={target_rho!r})"
-        )
-    return unit / t
+        raise InfeasibleFamilyError(f"infeasible known edges for target rho: denominator {denominator / unit!r} "
+                                    f"vanishes (S={s / unit!r}, rho={target_rho!r})")
+    raise InfeasibleFamilyError(f"infeasible known edges for target rho: solved resistance {t / unit!r} is not "
+                                f"positive (S={s / unit!r}, E={e / unit / unit!r}, rho={target_rho!r})")
+
+
+def _last_cycle_conductances(known, target_rho: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Free conductance of each row of an (m, n-1) array of known cycle conductances,
+    NaN where none is positive, and the (t, denominator, S, E, unit) behind it.
+
+    S, E, rho and so t are scaled by the power of two ``unit`` of
+    :func:`~ohmlab.resistance.resistance_sums`, which makes the denominator
+    floor relative to S. A row with a known value that is not positive and
+    finite gives a meaningless value; callers reject such rows.
+    """
+    # an infeasible row may overflow or divide by zero; it becomes NaN
+    with np.errstate(all="ignore"):
+        s, e, exponents = resistance_sums(known)
+        unit = np.ldexp(1.0, -exponents)
+        rho = target_rho * unit
+        denominator = 2.0 * s - rho
+        t = (rho * s - 2.0 * e) / denominator
+        free = unit / np.where((np.abs(denominator) > _DENOMINATOR_FLOOR) & (t > 0.0), t, math.nan)
+    return free, (t, denominator, s, e, unit)
 
 
 # Edge k joins vertices k and k+1 (mod n): 3-cycles (0: c01, 1: c12, 2: c02)
@@ -247,24 +255,19 @@ def reference_conductance(family: str, param: float) -> float | None:
         return math.nan
 
 
-def _family_conductances(family: str, param: float) -> tuple[float, ...]:
-    """Conductances of one family member: fixed-edge formulas plus the solved edge."""
+def _family_conductances(family: str, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) conductances of a family at m parameters, by one solve, and which rows are members."""
     spec = FIGURE_FAMILIES.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FIGURE_FAMILIES)}")
-    conductances = [0.0] * spec.n
-    for idx, formula in spec.fixed:
-        try:
-            conductances[idx] = float(formula(param))
-        except ZeroDivisionError:
-            raise InfeasibleFamilyError(f"family {family!r} at parameter {param!r}: "
-                                        f"fixed edge {idx} divides by zero") from None
-    known = [c for k, c in enumerate(conductances) if k != spec.solved_edge]
-    conductances[spec.solved_edge] = solve_last_cycle_conductance(known, spec.target_rho)
-    if not all(0.0 < c < math.inf for c in conductances):
-        raise InfeasibleFamilyError(f"family {family!r} at parameter {param!r}: "
-                                    f"conductances {conductances} are not all positive and finite")
-    return tuple(conductances)
+    conductances = np.empty((len(params), spec.n))
+    # a fixed edge without a finite value, 1/c at c = 0, becomes inf and fails its row
+    with np.errstate(all="ignore"):
+        for idx, formula in spec.fixed:
+            conductances[:, idx] = formula(params)
+    known = np.delete(conductances, spec.solved_edge, axis=1)
+    conductances[:, spec.solved_edge], _ = _last_cycle_conductances(known, spec.target_rho)
+    return conductances, ((0.0 < conductances) & (conductances < math.inf)).all(axis=1)
 
 
 def figure_family(family: str, param: float) -> CyclePoint:
@@ -275,7 +278,19 @@ def figure_family(family: str, param: float) -> CyclePoint:
     point is bit for bit the row :func:`scan_family` gives for the same value.
     """
     param = float(param)
-    return _realize(family, [(param, _family_conductances(family, param))])[0]
+    (conductances,), (member,) = _family_conductances(family, np.array([param]))
+    if not member:
+        spec = FIGURE_FAMILIES[family]
+        point = f"family {family!r} at parameter {param!r}"
+        for idx, formula in spec.fixed:
+            try:
+                formula(param)
+            except ZeroDivisionError:
+                raise InfeasibleFamilyError(f"{point}: fixed edge {idx} divides by zero") from None
+        # raises when the known edges leave the free edge no positive value
+        solve_last_cycle_conductance(np.delete(conductances, spec.solved_edge).tolist(), spec.target_rho)
+        raise InfeasibleFamilyError(f"{point}: conductances {conductances.tolist()} are not all positive and finite")
+    return _realize(family, [param], conductances[None])[0]
 
 
 def scan_family(family: str, param_grid: Sequence[float]) -> list[CyclePoint]:
@@ -283,16 +298,12 @@ def scan_family(family: str, param_grid: Sequence[float]) -> list[CyclePoint]:
 
     Infeasible and NaN grid points are skipped; if none are feasible a
     ValueError is raised. The skipped count is the grid size minus the
-    returned row count. One :func:`cycle_spectra` call realizes all feasible
-    points together.
+    returned row count. One solve gives the free edge of every point, and one
+    :func:`cycle_spectra` call realizes all feasible points together.
     """
-    points = []
     # sorted() cannot order a list holding a NaN
-    for param in sorted(p for p in map(float, param_grid) if not math.isnan(p)):
-        try:
-            points.append((param, _family_conductances(family, param)))
-        except InfeasibleFamilyError:
-            continue
-    if not points:
+    params = np.array(sorted(p for p in map(float, param_grid) if not math.isnan(p)))
+    conductances, members = _family_conductances(family, params)
+    if not members.any():
         raise ValueError(f"no feasible grid points for family {family!r}")
-    return _realize(family, points)
+    return _realize(family, params[members].tolist(), conductances[members])

@@ -148,24 +148,17 @@ def global_resistance(g: WeightedGraph) -> float:
     return float(sum(r[i, j] for i, j, _ in g.edges))
 
 
-def resistance_sums(conductances: Sequence[float]) -> tuple[float, float, float]:
-    """(S, E, unit) of edges in series, on plain floats: the sum of the
-    resistances r_e = 1/c_e and the sum of their pairwise products r_e r_f
-    over e < f, of the r_e scaled by the power of two ``unit`` that brings S
-    into [1/2, 1). The exact scaling keeps E from underflowing or overflowing."""
-    resistances = [1.0 / c for c in conductances]
-    total = 0.0
-    for r in resistances:
-        total += r
-    _, k = math.frexp(total)
-    unit = math.ldexp(1.0, -k)
-    total = 0.0
-    pairs = 0.0
-    for r in resistances:
-        r *= unit
-        pairs += r * total
-        total += r
-    return total, pairs, unit
+def resistance_sums(conductances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, E, exponent) of edges in series, over the last axis of a (..., k) array:
+    the sum of the resistances r_e = 1/c_e and of their pairwise products
+    r_e r_f over e < f, of the r_e scaled by 2^-exponent, the power of two
+    that brings S into [1/2, 1). The exact scaling keeps E from underflowing
+    or overflowing. A row of a stack gives the bits it gives alone."""
+    r = 1.0 / np.asarray(conductances, dtype=float)
+    total, exponents = np.frexp(r.sum(axis=-1))
+    r = np.ldexp(r, -exponents[..., None])
+    pairs = (r[..., 1:] * np.cumsum(r, axis=-1)[..., :-1]).sum(axis=-1)
+    return total, pairs, exponents
 
 
 def cycle_rho_closed_form(conductances: Sequence[float]) -> float:
@@ -183,10 +176,10 @@ def cycle_rho_closed_form(conductances: Sequence[float]) -> float:
         raise GraphError(f"conductances must be a flat sequence of reals, got {conductances!r}") from None
     if len(values) < 3:
         raise GraphError(f"a cycle needs at least 3 conductances, got {len(values)}")
-    if not all(c > 0.0 for c in values):
-        raise GraphError("conductances must all be positive")
-    total, pairs, unit = resistance_sums(values)
-    return 2.0 * pairs / total / unit
+    if not all(0.0 < c < math.inf for c in values):
+        raise GraphError(f"conductances must all be positive and finite, got {values}")
+    total, pairs, exponent = resistance_sums(values)
+    return float(np.ldexp(2.0 * pairs / total, exponent))
 
 
 def metric_check(g: WeightedGraph, tol: float = 1e-10) -> bool:

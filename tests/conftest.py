@@ -1,4 +1,4 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders and call counters for the test suite."""
 
 import math
 
@@ -29,3 +29,17 @@ def random_connected_graph(rng: np.random.Generator, n: int,
 def random_cycle(rng: np.random.Generator, n: int,
                  c_lo: float = 1e-2, c_hi: float = 1e2) -> WeightedGraph:
     return cycle(n, log_uniform(rng, c_lo, c_hi, size=n).tolist())
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap the named functions as ``module`` binds them; return the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts

@@ -250,6 +250,20 @@ class TestFigureCommand:
         assert [row[0] for row in rows] == [0.25, 0.5, 0.75, 1.0]
         assert "# skipped 1 infeasible grid points of 5" in comments
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family,lo,hi,steps,written", [
+        ("fig2", "-1", "2.9", 40, 29),
+        ("fig4", "0", "5", 11, 10),
+    ])
+    def test_grids_through_zero_warn_nothing(self, tmp_path, family, lo, hi, steps, written):
+        # fig2 crosses r = -1, where its reference formula divides by zero, and
+        # r = 0; fig4 starts at c = 0, where its fixed edge 1/c divides by zero
+        out = str(tmp_path / f"{family}.csv")
+        assert main(["figure", family, lo, hi, str(steps), "--out", out]) == 0
+        _, rows, comments = parse_csv(out)
+        assert len(rows) == written
+        assert comments[0] == f"# skipped {steps - written} infeasible grid points of {steps}"
+
     def test_empty_feasible_range_exit_2(self, tmp_path):
         out = str(tmp_path / "fig2.csv")
         assert main(["figure", "fig2", "3.5", "4.0", "5", "--out", out]) == 2

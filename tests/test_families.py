@@ -15,15 +15,21 @@ from ohmlab import (
     figure_family,
     global_resistance,
     laplacian,
+    monotonicity_check,
     reference_conductance,
     scan_family,
     solve_last_cycle_conductance,
     two_equal_eigenvalues,
     two_equal_family,
 )
-from ohmlab.families import cycle_spectra, solve_third_conductance
+import ohmlab.cli
+import ohmlab.extremal
+import ohmlab.families
+from ohmlab.cli import main
+from ohmlab.families import _last_cycle_conductances, cycle_spectra, solve_third_conductance
+from ohmlab.resistance import resistance_sums
 
-from conftest import log_uniform
+from conftest import count_calls, log_uniform
 
 GRID_B = np.linspace(0.51, 1.99, 200)
 
@@ -140,6 +146,7 @@ class TestSolveThirdConductance:
             assert abs(cycle_rho_closed_form((z, y, x)) - rho) <= 1e-12 * rho
 
 
+@pytest.mark.filterwarnings("error")
 class TestSolveLastCycleConductance:
     def test_unit_four_cycle(self):
         assert solve_last_cycle_conductance([1.0, 1.0, 1.0], 3.0) == pytest.approx(1.0, rel=1e-15)
@@ -158,6 +165,12 @@ class TestSolveLastCycleConductance:
     def test_rejects_non_flat_input(self, bad):
         with pytest.raises(InfeasibleFamilyError, match="flat sequence"):
             solve_last_cycle_conductance(bad, 3.0)
+
+    @pytest.mark.parametrize("bad", [[math.inf, 1.0], [1.0, math.inf], [math.inf, math.inf], [math.nan, 1.0]])
+    def test_rejects_non_finite(self, bad):
+        # [inf, 1] used to be blamed on a vanishing denominator
+        with pytest.raises(InfeasibleFamilyError, match="positive"):
+            solve_last_cycle_conductance(bad, 2.0)
 
     def test_round_trip_property(self):
         # feasible rho lies between max(0, S - P/S) and 2S in resistance terms
@@ -356,3 +369,92 @@ class TestFamilySpec:
             FamilySpec("bad", 3, ((0, float),), 2, 2.0)
         with pytest.raises(ValueError, match="exactly one"):
             FamilySpec("bad", 3, ((0, float), (2, float)), 2, 2.0)
+
+
+class TestOneSolvePerGrid:
+    """A grid makes one solve and one series sum per stack, never one per point."""
+
+    @pytest.mark.parametrize("family", sorted(BENCHMARK_GRIDS))
+    def test_scan_family(self, monkeypatch, family):
+        counts = count_calls(monkeypatch, ohmlab.families,
+                             ("_last_cycle_conductances", "solve_last_cycle_conductance", "resistance_sums"))
+        assert len(BENCHMARK_GRIDS[family]) == 600
+        assert scan_family(family, BENCHMARK_GRIDS[family])
+        # the solve and the cycle_spectra call behind the realized points
+        assert counts == {"_last_cycle_conductances": 1, "solve_last_cycle_conductance": 0, "resistance_sums": 2}
+
+    def test_monotonicity_check(self, monkeypatch):
+        counts = count_calls(monkeypatch, ohmlab.extremal, ("_last_cycle_conductances", "cycle_spectra"))
+        grid = np.linspace(1.2, 0.98 * 1.2 / 0.2, 400)
+        assert monotonicity_check("lemma43a", 1.2, grid).ok
+        assert counts == {"_last_cycle_conductances": 1, "cycle_spectra": 1}
+
+    def test_figure_reference_column(self, monkeypatch, tmp_path):
+        cli_counts = count_calls(monkeypatch, ohmlab.cli, ("cycle_spectra", "scan_family"))
+        family_counts = count_calls(monkeypatch, ohmlab.families, ("_last_cycle_conductances", "resistance_sums"))
+        out = tmp_path / "fig2.csv"
+        assert main(["figure", "fig2", "0.01", "2.99", "600", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 600 + 2
+        # one rho call for the reference column, beside the solve and the
+        # cycle_spectra call of the scan
+        assert cli_counts == {"cycle_spectra": 1, "scan_family": 1}
+        assert family_counts == {"_last_cycle_conductances": 1, "resistance_sums": 3}
+
+
+def _series_sums_loop(conductances):
+    """(S, E, exponent) by the left-to-right loop that ``resistance_sums`` replaced."""
+    resistances = [1.0 / c for c in conductances]
+    total = 0.0
+    for r in resistances:
+        total += r
+    _, exponent = math.frexp(total)
+    total = pairs = 0.0
+    for r in resistances:
+        r = math.ldexp(r, -exponent)
+        pairs += r * total
+        total += r
+    return total, pairs, exponent
+
+
+class TestStackedRowsMatchOneRowCalls:
+    """Each row of a stacked call gives bit for bit what a one-row call gives, n = 3-12.
+
+    numpy sums 8 or more entries pairwise, so the rows of an n >= 8 stack may
+    differ by round-off from the left-to-right loop the series sums used to
+    run; up to 7 entries they match that loop bit for bit.
+    """
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_resistance_sums(self, n):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(40 + n)
+        stack = log_uniform(rng, 1e-3, 1e3, size=(50, n))
+        total, pairs, exponents = resistance_sums(stack)
+        for k, row in enumerate(stack.tolist()):
+            stacked = (float(total[k]), float(pairs[k]), int(exponents[k]))
+            alone = resistance_sums(row)
+            assert (float(alone[0]), float(alone[1]), int(alone[2])) == stacked
+            loop = _series_sums_loop(row)
+            if n < 8:
+                assert loop == stacked
+            else:
+                for ours, theirs in ((total[k], loop[0]), (pairs[k], loop[1])):
+                    ours, theirs = np.ldexp(ours, exponents[k]), math.ldexp(theirs, loop[2])
+                    assert abs(ours - theirs) <= 4 * n * eps * theirs
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_solver_core(self, n):
+        rng = np.random.default_rng(60 + n)
+        known = log_uniform(rng, 1e-1, 1e1, size=(60, n - 1))
+        # rho is feasible below 2S only, S the sum of the known resistances, so
+        # the median of 2S leaves about half of the rows infeasible
+        target = float(np.median(2.0 * (1.0 / known).sum(axis=1)))
+        free, diagnostics = _last_cycle_conductances(known, target)
+        assert np.isnan(free).any() and not np.isnan(free).all()
+        for k, row in enumerate(known.tolist()):
+            (alone,), alone_diagnostics = _last_cycle_conductances([row], target)
+            assert np.array_equal(alone, free[k], equal_nan=True)
+            for one, stacked in zip(alone_diagnostics, diagnostics):
+                assert np.array_equal(one[0], stacked[k], equal_nan=True)
+            if not math.isnan(alone):
+                assert solve_last_cycle_conductance(row, target) == alone

@@ -25,7 +25,7 @@ import ohmlab.resistance
 from ohmlab.linalg import solve_spd
 from ohmlab.resistance import ILL_CONDITIONED_PIVOT_RATIO, _ELIMINATIONS, _resistance_matrix
 
-from conftest import log_uniform, random_connected_graph, random_cycle
+from conftest import count_calls, log_uniform, random_connected_graph, random_cycle
 
 
 def unit_cycle(n):
@@ -85,24 +85,10 @@ class TestEffectiveResistance:
         assert 1.0 <= report.pivot_ratio <= ILL_CONDITIONED_PIVOT_RATIO
 
 
-def _count_calls(monkeypatch, names):
-    """Wrap the named functions as ``ohmlab.resistance`` binds them; return the live counts."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(ohmlab.resistance, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(ohmlab.resistance, name, counted)
-    return counts
-
-
 class TestOneEliminationPerGraph:
     def test_every_query_on_one_graph_shares_one_elimination(self, monkeypatch):
         g = random_connected_graph(np.random.default_rng(1), 30)
-        counts = _count_calls(monkeypatch, ("is_connected", "laplacian", "solve_spd"))
+        counts = count_calls(monkeypatch, ohmlab.resistance, ("is_connected", "laplacian", "solve_spd"))
         values = [effective_resistance(g, i, j).value for i, j, _ in g.edges]
         global_resistance(g)
         assert metric_check(g)
@@ -258,6 +244,7 @@ class TestThreeCycleRho:
             assert np.all(np.diff(values) < 0.0)
 
 
+@pytest.mark.filterwarnings("error")
 class TestCycleClosedForm:
     def test_unit_three_cycle(self):
         assert cycle_rho_closed_form([1.0, 1.0, 1.0]) == pytest.approx(2.0, rel=1e-15)
@@ -301,6 +288,15 @@ class TestCycleClosedForm:
     def test_rejects_non_positive(self):
         with pytest.raises(GraphError):
             cycle_rho_closed_form([1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [[np.inf, np.inf, np.inf], [np.inf, 1.0, 1.0], [1.0, np.nan, 1.0]])
+    def test_rejects_non_finite(self, bad):
+        # cycle() rejects these edges too; [inf, 1, 1] used to give 1.0 and
+        # [inf, inf, inf] to raise ZeroDivisionError
+        with pytest.raises(GraphError, match="positive"):
+            cycle_rho_closed_form(bad)
+        with pytest.raises(GraphError):
+            cycle(3, bad)
 
     @pytest.mark.parametrize("bad", [5.0, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
     def test_rejects_non_flat_input(self, bad):
