@@ -168,7 +168,7 @@ class TestSolveLastCycleConductance:
 
     @pytest.mark.parametrize("bad", [[math.inf, 1.0], [1.0, math.inf], [math.inf, math.inf], [math.nan, 1.0]])
     def test_rejects_non_finite(self, bad):
-        # [inf, 1] used to be blamed on a vanishing denominator
+        # an infinite or NaN conductance is no edge, before any denominator is formed
         with pytest.raises(InfeasibleFamilyError, match="positive"):
             solve_last_cycle_conductance(bad, 2.0)
 

@@ -291,8 +291,7 @@ class TestCycleClosedForm:
 
     @pytest.mark.parametrize("bad", [[np.inf, np.inf, np.inf], [np.inf, 1.0, 1.0], [1.0, np.nan, 1.0]])
     def test_rejects_non_finite(self, bad):
-        # cycle() rejects these edges too; [inf, 1, 1] used to give 1.0 and
-        # [inf, inf, inf] to raise ZeroDivisionError
+        # no cycle has these edges, so the closed form gives them no value
         with pytest.raises(GraphError, match="positive"):
             cycle_rho_closed_form(bad)
         with pytest.raises(GraphError):
