@@ -8,6 +8,7 @@ means a violated inequality).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -164,7 +165,15 @@ def _cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ohmlab`` argument parser, built on the first call and shared after.
+
+    The parser depends on no input, and ``parse_args`` keeps no state between
+    calls: each call returns a fresh namespace with every default in place.
+    So one process builds it once, however many times :func:`main` runs.
+    Every caller gets the same parser and must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="ohmlab",
         description="Effective-resistance metrics, Laplacian spectra, and extremal "
@@ -221,6 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``ohmlab`` command and return its exit code.
+
+    The parser comes from :func:`build_parser`, built once per process on the
+    first call, so repeated in-process calls parse without rebuilding it.
+    A usage error raises ``SystemExit(2)`` from argparse.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -112,8 +112,10 @@ def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremR
     the upper when lambda_2 rho >= 6 (1-tol), and equality is flagged when both
     products sit within 6 tol of the bound. The eigensolver's error in
     lambda_1 is about eps lambda_max, so a product it cannot resolve within
-    that slack (3 eps lambda_max rho > 6 tol), or a non-finite rho or product,
-    raises ``numpy.linalg.LinAlgError`` instead of a verdict.
+    that slack (3 eps lambda_max rho > 6 tol), or a non-finite product,
+    raises ``numpy.linalg.LinAlgError`` instead of a verdict. The products are
+    computed on the conductances scaled by a power of two; ``rho`` is scaled
+    back and reads inf where it exceeds the float range.
     """
     values = tuple(float(x) for x in conductances)
     if len(values) != 3:
@@ -122,15 +124,20 @@ def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremR
         raise ValueError("tol must be positive")
     if not all(0.0 < c < math.inf for c in values):
         raise GraphError(f"conductances must be positive finite reals, got {values}")
-    eigenvalues, rhos = cycle_spectra([values])
-    rho = float(rhos[0])
-    lambda1_rho = float(eigenvalues[0, 1]) * rho
-    lambdamax_rho = float(eigenvalues[0, 2]) * rho
+    # the products are scale-free: dividing by the power of two that brings the
+    # largest conductance into [1/2, 1) is exact and keeps the Laplacian finite
+    exponent = math.frexp(max(values))[1]
+    eigenvalues, rhos = cycle_spectra([[math.ldexp(c, -exponent) for c in values]])
+    scaled_rho = float(rhos[0])
+    lambda1_rho = float(eigenvalues[0, 1]) * scaled_rho
+    lambdamax_rho = float(eigenvalues[0, 2]) * scaled_rho
     bound = THREE_CYCLE_PRODUCT_BOUND
     # false as well when rho, and so both products, is NaN or infinite
     if not 3.0 * np.finfo(float).eps * lambdamax_rho <= bound * tol:
         raise np.linalg.LinAlgError(f"products lambda_1 rho = {lambda1_rho!r}, lambda_2 rho = "
                                     f"{lambdamax_rho!r} cannot be resolved to relative tolerance {tol!r}")
+    with np.errstate(over="ignore"):
+        rho = float(np.ldexp(scaled_rho, -exponent))
     return TheoremReport(
         conductances=values,
         rho=rho,

@@ -175,7 +175,8 @@ def solve_last_cycle_conductance(known: Sequence[float], target_rho: float) -> f
     t = (rho S - 2E)/(2S - rho). This is the one-row case of the grid solver
     behind :func:`scan_family` and :func:`~ohmlab.extremal.monotonicity_check`.
     Known conductances must be positive and finite; infeasible input (a
-    vanishing denominator or t <= 0) raises :class:`InfeasibleFamilyError`.
+    vanishing denominator or t <= 0), or a t whose conductance 1/t overflows,
+    raises :class:`InfeasibleFamilyError`.
     """
     try:
         values = [float(c) for c in known]
@@ -194,13 +195,16 @@ def solve_last_cycle_conductance(known: Sequence[float], target_rho: float) -> f
     if abs(denominator) <= _DENOMINATOR_FLOOR:
         raise InfeasibleFamilyError(f"infeasible known edges for target rho: denominator {denominator / unit!r} "
                                     f"vanishes (S={s / unit!r}, rho={target_rho!r})")
+    if t > 0.0:
+        raise InfeasibleFamilyError(f"known edges and target rho give solved resistance {t / unit!r}, which is "
+                                    f"positive but its conductance overflows (S={s / unit!r}, rho={target_rho!r})")
     raise InfeasibleFamilyError(f"infeasible known edges for target rho: solved resistance {t / unit!r} is not "
                                 f"positive (S={s / unit!r}, E={e / unit / unit!r}, rho={target_rho!r})")
 
 
 def _last_cycle_conductances(known, target_rho: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Free conductance of each row of an (m, n-1) array of known cycle conductances,
-    NaN where none is positive, and the (t, denominator, S, E, unit) behind it.
+    NaN where none is positive and finite, and the (t, denominator, S, E, unit) behind it.
 
     S, E, rho and so t are scaled by the power of two ``unit`` of
     :func:`~ohmlab.resistance.resistance_sums`, which makes the denominator
@@ -215,7 +219,7 @@ def _last_cycle_conductances(known, target_rho: float) -> tuple[np.ndarray, tupl
         denominator = 2.0 * s - rho
         t = (rho * s - 2.0 * e) / denominator
         free = unit / np.where((np.abs(denominator) > _DENOMINATOR_FLOOR) & (t > 0.0), t, math.nan)
-    return free, (t, denominator, s, e, unit)
+    return np.where(free < math.inf, free, math.nan), (t, denominator, s, e, unit)
 
 
 # Edge k joins vertices k and k+1 (mod n): 3-cycles (0: c01, 1: c12, 2: c02)

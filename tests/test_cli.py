@@ -1,5 +1,8 @@
 """Command-line interface: outputs, CSV files, the exit-code taxonomy, imports."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +14,7 @@ import pytest
 
 import ohmlab
 from ohmlab import cycle_rho_closed_form, scan_family
-from ohmlab.cli import main
+from ohmlab.cli import build_parser, main
 
 UNIT_THREE = "n 3\n0 1 1\n0 2 1\n1 2 1\n"
 UNIT_FOUR = "n 4\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n"
@@ -122,21 +125,22 @@ class TestVerifyCommand:
     def test_negative_conductance_exit_2(self, capsys):
         assert main(["verify", "1", "1", "-1"]) == 2
 
-    @pytest.mark.parametrize("c", ["1e300", "1e160", "1e-300"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", ["1e308", "1e300", "1e160", "1e-300"])
     def test_equal_extreme_conductances_are_equality(self, capsys, c):
-        # rho = 2E/S of these cycles is scaled so that E neither underflows
-        # (large conductances) nor overflows (small ones)
+        # the products are scale-free, and verify computes them on conductances
+        # scaled by a power of two, so the Laplacian's diagonal cannot overflow
+        # (1e308) and E neither underflows nor overflows
         assert main(["verify", c, c, c]) == 0
         assert capsys.readouterr().out == "lambda1_rho=6 lambda2_rho=6 EQUALITY\n"
 
     @pytest.mark.parametrize("args,code", [
         (["inf", "1", "1"], 3),  # not a graph
-        (["1e308", "1e308", "1e308"], 2),  # the Laplacian's diagonal overflows
+        (["nan", "1", "1"], 2),
         (["1", "1", "0"], 2),
     ])
     def test_invalid_conductances(self, capsys, args, code):
-        with np.errstate(over="ignore"):
-            assert main(["verify"] + args) == code
+        assert main(["verify"] + args) == code
         assert "VIOLATION" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("args", [
@@ -343,6 +347,82 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
+@pytest.fixture
+def fresh_parser():
+    """Start and end the test with no parser built, so it sees the first build and leaves none behind."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process call; a usage error's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneParserPerProcess:
+    def test_many_calls_build_one_parser(self, fresh_parser, monkeypatch):
+        built = []
+        construct = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            construct(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert _run(["verify", "1", "1", "1"])[0] == 0
+        after_first = len(built)
+        assert after_first > 0
+        for _ in range(20):
+            assert _run(["verify", "0.375", "1.5", "1.5"])[0] == 0
+        assert _run(["frobnicate"])[0] == 2
+        assert len(built) == after_first
+        assert build_parser.cache_info().misses == 1
+
+    def test_no_value_leaks_between_calls(self, fresh_parser, tmp_path):
+        fig = str(tmp_path / "fig1.csv")
+        trace = tmp_path / "trace.jsonl"
+        search = ["search", "3", "--restarts", "2", "--iters", "40", "--seed", "3"]
+        sequence = [
+            ["--tol", "0.5", "verify", "1", "1", "1.1"],
+            ["verify", "1", "1", "1.1"],
+            ["figure", "fig1", "0.6", "1.9", "7", "--out", fig],
+            ["figure", "fig1", "0.6", "1.9", "7"],
+            ["verify", "1", "x", "2"],
+            search + ["--trace", str(trace)],
+            search,
+            ["frobnicate"],
+            [],
+            ["verify", "1", "1", "1.1"],
+        ]
+        shared = []
+        for argv in sequence:
+            trace.unlink(missing_ok=True)
+            shared.append(_run(argv) + (trace.exists(),))
+        assert build_parser.cache_info().misses == 1
+        rebuilt = []
+        for argv in sequence:
+            trace.unlink(missing_ok=True)
+            build_parser.cache_clear()
+            rebuilt.append(_run(argv) + (trace.exists(),))
+        assert shared == rebuilt
+        # --tol defaults per call: the wide tolerance calls the cycle equal,
+        # the default one does not
+        products = "lambda1_rho=5.8125 lambda2_rho=6.2"
+        assert shared[0][1] == products + " EQUALITY\n"
+        assert shared[1][1] == products + " OK\n" and shared[9] == shared[1]
+        assert [code for code, *_ in shared] == [0, 0, 0, 2, 2, 0, 0, 2, 2, 0]
+        assert "--out" in shared[3][2] and "invalid float value: 'x'" in shared[4][2]
+        # --trace defaults per call: only the call that names the file writes it
+        assert [written for *_, written in shared] == [False] * 5 + [True] + [False] * 4
+
+
 #: Runs the cycle subcommands, then the general-graph ones, in a fresh
 #: interpreter and reports the scipy modules loaded after each stage.
 IMPORT_PROBE = textwrap.dedent("""
@@ -357,7 +437,7 @@ IMPORT_PROBE = textwrap.dedent("""
     graph = os.path.join(tmp, "c3.txt")
     with open(graph, "w") as handle:
         handle.write("n 3\\n0 1 1\\n0 2 2\\n1 2 3\\n")
-    report = {"import": scipy_modules()}
+    report = {"import": scipy_modules(), "parsers_at_import": ohmlab.cli.build_parser.cache_info().currsize}
     report["cycle_codes"] = [
         main(["verify", "1", "2", "3"]),
         main(["figure", "fig1", "0.6", "1.9", "5", "--out", os.path.join(tmp, "fig1.csv")]),
@@ -379,6 +459,7 @@ class TestImports:
                                 env=env, capture_output=True, text=True, timeout=120, check=True)
         report = json.loads(result.stdout.splitlines()[-1])
         assert report["import"] == []
+        assert report["parsers_at_import"] == 0
         assert report["cycle_codes"] == [0, 0, 0]
         assert report["cycle"] == []
         assert report["graph_codes"] == [0, 0]

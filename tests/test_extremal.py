@@ -151,6 +151,26 @@ class TestVerifyTheorem:
                 assert abs(scaled.lambda1_rho - base.lambda1_rho) <= 1e-9 * base.lambda1_rho
                 assert abs(scaled.lambdamax_rho - base.lambdamax_rho) <= 1e-9 * base.lambdamax_rho
 
+    @pytest.mark.filterwarnings("error")
+    def test_power_of_two_scale_gives_identical_products(self):
+        # verify computes on conductances scaled by a power of two, so the same
+        # cycle at 2^k gives the same products bit for bit and rho times 2^-k
+        rng = np.random.default_rng(37)
+        for conducts in log_uniform(rng, 1e-4, 1e4, size=(40, 3)):
+            base = verify_theorem(conducts.tolist())
+            for k in (-1000, -400, -1, 1, 400, 1000):
+                scaled = verify_theorem(np.ldexp(conducts, k).tolist())
+                assert (scaled.lambda1_rho, scaled.lambdamax_rho) == (base.lambda1_rho, base.lambdamax_rho)
+                assert scaled.rho == math.ldexp(base.rho, -k)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c,rho", [(1e308, 2e-308), (1e-320, math.inf)])
+    def test_extreme_equal_weights(self, c, rho):
+        # the Laplacian of 1e308 overflows unscaled; the rho of 1e-320 is
+        # beyond the float range, while its products are not
+        report = verify_theorem([c, c, c])
+        assert report.equality and report.rho == rho
+
 
 class TestUnitCycleBaseline:
     def test_three_cycle(self):

@@ -157,6 +157,19 @@ class TestSolveLastCycleConductance:
         assert z == pytest.approx(8.0 / 7.0, rel=1e-14)
         assert cycle_rho_closed_form([0.5, 2.0, 1.0, z]) == pytest.approx(3.0, rel=1e-12)
 
+    def test_overflowing_conductance_raises(self):
+        # the solved resistance is positive but below 1/DBL_MAX; the row is
+        # NaN in the grid core, as an infeasible one is
+        known, rho = [1e300, 1e300], 1e-300 * (1 + 4e-15)
+        with pytest.raises(InfeasibleFamilyError, match="positive but its conductance overflows"):
+            solve_last_cycle_conductance(known, rho)
+        free, _ = _last_cycle_conductances([known, [1e300, 1e301]], rho)
+        assert math.isnan(free[0]) and 0.0 < free[1] < math.inf
+
+    def test_tiny_resistance_at_unit_scale(self):
+        # the same cycle at scale 1 keeps its finite answer
+        assert solve_last_cycle_conductance([1.0, 1.0], 1 + 4e-15) == 3.752999689475408e14
+
     def test_infeasible_weak_edges(self):
         with pytest.raises(InfeasibleFamilyError, match="not positive"):
             solve_last_cycle_conductance([0.1, 0.1, 0.1], 3.0)
