@@ -6,7 +6,7 @@ factorization and solve (``dpotrf``/``dpotrs``) for symmetric
 positive-definite systems. They call the ``scipy.linalg.lapack`` wrappers
 directly: on the small matrices handled here these run in the calling thread,
 while ``scipy.linalg.solve_triangular`` wakes a BLAS worker thread even for
-2x2 systems.
+2x2 systems. Neither judges its accuracy; the resistance module checks Foster's identity.
 
 The wrappers are imported on first use, by :func:`_lapack`. Importing
 ``scipy.linalg`` takes about a quarter of a second (2-core Xeon), longer than
@@ -124,19 +124,15 @@ def cholesky_lower(matrix) -> np.ndarray:
     return lower
 
 
-def solve_spd(matrix, rhs, return_pivot_ratio: bool = False):
+def solve_spd(matrix, rhs) -> np.ndarray:
     """Solve A X = B for symmetric positive-definite A via Cholesky.
 
-    ``rhs`` may be a vector or a matrix of right-hand-side columns. With
-    ``return_pivot_ratio=True`` also returns max(pivot)/min(pivot) of the
-    factorization, a cheap conditioning indicator.
+    ``rhs`` may be a vector or a matrix of right-hand-side columns. A
+    non-positive pivot raises :class:`NotPositiveDefiniteError`; how accurate
+    the solution is, is for the caller to judge.
     """
     lower = cholesky_lower(matrix)
     x, info = _lapack().dpotrs(lower, np.asarray(rhs, dtype=float), lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dpotrs failed with info = {info}")
-    if return_pivot_ratio:
-        d = np.diag(lower)
-        ratio = float((d.max() / d.min()) ** 2)
-        return x, ratio
     return x

@@ -4,13 +4,16 @@ Every resistance query reads from one resistance matrix, computed once per
 graph object. Grounding the vertex g of largest degree deletes its row and
 column from the Laplacian; the rest is symmetric positive definite, and its
 inverse, padded with zeros at g, is a generalized inverse G of the Laplacian
-with ``R_ij = G_ii + G_jj - 2 G_ij``. The read-only matrix and the pivot
-ratio of its Cholesky factor are kept in a cache keyed weakly on the graph,
-so :func:`effective_resistance`, :func:`global_resistance` and
+with ``R_ij = G_ii + G_jj - 2 G_ij``. The read-only matrix and its Foster
+residual are kept in a cache keyed weakly on the graph, so
+:func:`effective_resistance`, :func:`global_resistance` and
 :func:`metric_check` on one :class:`WeightedGraph` share one connectivity
 check, one Laplacian and one elimination, and the entry dies with its graph.
-A grounded LU solve per pair provides a second route for tests, and
-series-parallel closed forms cover cycles.
+The one accuracy signal is Foster's identity, sum over edges of c_e R_e = n - 1
+(Foster 1949; Tetali 1991): necessary, not sufficient, since errors on
+different edges can cancel and it constrains no non-adjacent pair. A grounded
+LU solve per pair provides a second route for tests, and series-parallel
+closed forms cover cycles.
 """
 
 from __future__ import annotations
@@ -24,28 +27,29 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import DisconnectedGraphError, GraphError, WeightedGraph, is_connected, laplacian
-from .linalg import NotPositiveDefiniteError, solve_spd
+from .linalg import solve_spd
 
-ILL_CONDITIONED_PIVOT_RATIO = 1e14
+#: Foster residual above which a query warns; graphs with n <= 300 and ratios to 1e4 stay below 5e-13.
+FOSTER_RESIDUAL_LIMIT = 1e-11
 
 
 class IllConditionedWarning(RuntimeWarning):
-    """Extreme conductance ratios made the grounded Laplacian nearly singular."""
+    """The resistance matrix misses Foster's identity by more than ``FOSTER_RESIDUAL_LIMIT``."""
 
 
 @dataclass(frozen=True)
 class ResistanceReport:
     """Resistance distance of one vertex pair and the minimizing energy (its reciprocal).
 
-    ``pivot_ratio`` is max(pivot)/min(pivot) of the Cholesky factorization
-    behind the value; above ``ILL_CONDITIONED_PIVOT_RATIO`` the query also
-    raises :class:`IllConditionedWarning`.
+    ``foster_residual`` is |sum of c_e R_e - (n - 1)| / (n - 1) over the
+    edges of the graph, from the resistance matrix behind the value; above
+    ``FOSTER_RESIDUAL_LIMIT`` the query also raises :class:`IllConditionedWarning`.
     """
 
     pair: tuple[int, int]
     value: float
     energy_min: float
-    pivot_ratio: float
+    foster_residual: float
 
 
 def _check_pair(g: WeightedGraph, i: int, j: int) -> None:
@@ -62,39 +66,39 @@ def _require_connected(g: WeightedGraph) -> None:
 
 def _eliminate(g: WeightedGraph) -> tuple[np.ndarray, float]:
     """All pairwise resistance distances, read-only, from one Cholesky solve of
-    the grounded Laplacian, with the pivot ratio of that factorization."""
+    the grounded Laplacian, with their Foster residual; R has an exactly zero
+    diagonal, so -<L, R>/2 is the sum of c_e R_e. The graph is connected, so a
+    Cholesky breakdown (``NotPositiveDefiniteError``) or a resistance that is
+    not positive between distinct vertices is a numerical failure, a ``LinAlgError``."""
     _require_connected(g)
     h = laplacian(g).entries
     ground = int(np.argmax(np.diag(h)))
     keep = [k for k in range(g.n) if k != ground]
-    try:
-        inverse, pivot_ratio = solve_spd(h[np.ix_(keep, keep)], np.eye(g.n - 1),
-                                         return_pivot_ratio=True)
-    except NotPositiveDefiniteError as exc:
-        raise DisconnectedGraphError(
-            "grounded Laplacian is not positive definite (graph disconnected?)"
-        ) from exc
     green = np.zeros((g.n, g.n))
-    green[np.ix_(keep, keep)] = inverse
+    green[np.ix_(keep, keep)] = solve_spd(h[np.ix_(keep, keep)], np.eye(g.n - 1))
     diagonal = np.diag(green)
     resistances = diagonal[:, None] + diagonal[None, :] - 2.0 * green
+    if not np.all(resistances[~np.eye(g.n, dtype=bool)] > 0.0):
+        raise np.linalg.LinAlgError(
+            "elimination lost all accuracy: a resistance between distinct vertices is not positive")
     resistances.setflags(write=False)
-    return resistances, pivot_ratio
+    foster_residual = abs(-0.5 * float(np.vdot(h, resistances)) - (g.n - 1)) / (g.n - 1)
+    return resistances, foster_residual
 
 
-#: id(graph) -> (weak reference to the graph, resistance matrix, pivot ratio).
+#: id(graph) -> (weak reference to the graph, resistance matrix, Foster residual).
 #: The reference's callback drops the entry when the graph is collected, before
 #: its id can be reused. A failed elimination is never stored.
 _ELIMINATIONS: dict[int, tuple[weakref.ref, np.ndarray, float]] = {}
 
 
 def _resistance_matrix(g: WeightedGraph) -> tuple[np.ndarray, float]:
-    """The read-only resistance matrix of ``g`` and its pivot ratio, one elimination per graph object.
+    """The read-only resistance matrix of ``g`` and its Foster residual, one elimination per graph object.
 
     The first query on a graph object eliminates it and caches the result;
     later queries on the same object read the cache. ``WeightedGraph`` is
-    frozen, so a race can at worst compute the same matrix twice. Every call
-    warns when the pivot ratio marks the matrix as ill conditioned, cached or not.
+    frozen, so a race can at worst compute the same matrix twice. Every call,
+    cached or not, warns when the residual exceeds ``FOSTER_RESIDUAL_LIMIT`` or is NaN.
     """
     key = id(g)
     entry = _ELIMINATIONS.get(key)
@@ -102,23 +106,19 @@ def _resistance_matrix(g: WeightedGraph) -> tuple[np.ndarray, float]:
         # pop is bound now, so the callback still works while the interpreter shuts down
         forget = weakref.ref(g, lambda _, pop=_ELIMINATIONS.pop: pop(key, None))
         entry = _ELIMINATIONS[key] = (forget, *_eliminate(g))
-    _, resistances, pivot_ratio = entry
-    if pivot_ratio > ILL_CONDITIONED_PIVOT_RATIO:
-        warnings.warn(
-            f"grounded Laplacian is ill conditioned (pivot ratio {pivot_ratio:.3e}); "
-            "resistance values may lose accuracy",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
-    return resistances, pivot_ratio
+    _, resistances, foster_residual = entry
+    if not foster_residual <= FOSTER_RESIDUAL_LIMIT:
+        warnings.warn(f"resistance matrix misses Foster's identity by {foster_residual:.3e} relative; "
+                      "resistance values may lose accuracy", IllConditionedWarning, stacklevel=3)
+    return resistances, foster_residual
 
 
 def effective_resistance(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     """Resistance distance between vertices i and j with the minimizing energy."""
     _check_pair(g, i, j)
-    resistances, pivot_ratio = _resistance_matrix(g)
+    resistances, residual = _resistance_matrix(g)
     value = float(resistances[i, j])
-    return ResistanceReport(pair=(i, j), value=value, energy_min=1.0 / value, pivot_ratio=pivot_ratio)
+    return ResistanceReport(pair=(i, j), value=value, energy_min=1.0 / value, foster_residual=residual)
 
 
 def effective_resistance_oracle(g: WeightedGraph, i: int, j: int) -> float:

@@ -24,6 +24,19 @@ DISCONNECTED = "n 4\n0 1 1\n2 3 1\n"
 B32_FAMILY = "n 3\n0 1 0.375\n0 2 1.5\n1 2 1.5\n"
 
 
+def cycle_file(conductances):
+    """Edge-list text of the cycle whose edge k joins vertices k and k+1 (mod n)."""
+    n = len(conductances)
+    return f"n {n}\n" + "".join(f"{k} {(k + 1) % n} {c!r}\n" for k, c in enumerate(conductances))
+
+
+#: A connected 6-cycle whose grounded Cholesky factorization breaks down.
+CHOLESKY_BREAKDOWN = cycle_file([1.0, 1e16, 1.0, 1e16, 1.0, 1e16])
+#: Cycles whose computed resistance matrix holds a zero (true value 1e-300) between distinct vertices.
+ZERO_RESISTANCE = cycle_file([1.0, 1e300, 1.0, 1e300])
+ZERO_RESISTANCE_SIX = cycle_file([1e300, 1.0, 1e300, 1.0, 1.0, 1.0])
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -70,6 +83,21 @@ class TestResistanceCommand:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["resistance", str(tmp_path / "absent.txt"), "0", "1"]) == 2
+
+    @pytest.mark.parametrize("text,command", [
+        (CHOLESKY_BREAKDOWN, ["rho"]),
+        (ZERO_RESISTANCE, ["rho"]),
+        (ZERO_RESISTANCE, ["resistance", "1", "2"]),
+        (ZERO_RESISTANCE_SIX, ["resistance", "2", "3"]),
+    ], ids=["rho_cholesky_breakdown", "rho_zero_resistance", "zero_resistance", "zero_resistance_six"])
+    def test_numerical_failure_exit_4(self, tmp_path, capsys, text, command):
+        # connected graphs, so exit 4 (numerical failure), not 3 (disconnected),
+        # and a zero resistance never reaches 1/value
+        path = write(tmp_path, "g.txt", text)
+        assert main(command[:1] + [path] + command[1:]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ohmlab: ")
 
 
 class TestRhoCommand:

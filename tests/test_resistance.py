@@ -1,8 +1,12 @@
 """Resistance distance routes, global resistance, closed forms, metric checks."""
 
 import gc
+import math
+import warnings
 import weakref
+from fractions import Fraction
 
+import mpmath
 import networkx as nx
 import numpy as np
 import pytest
@@ -17,19 +21,43 @@ from ohmlab import (
     effective_resistance,
     effective_resistance_oracle,
     global_resistance,
-    laplacian,
     metric_check,
     scale,
 )
 import ohmlab.resistance
-from ohmlab.linalg import solve_spd
-from ohmlab.resistance import ILL_CONDITIONED_PIVOT_RATIO, _ELIMINATIONS, _resistance_matrix
+from ohmlab.linalg import NotPositiveDefiniteError
+from ohmlab.resistance import FOSTER_RESIDUAL_LIMIT, _ELIMINATIONS, _resistance_matrix
 
 from conftest import count_calls, log_uniform, random_connected_graph, random_cycle
 
 
 def unit_cycle(n):
     return cycle(n, [1.0] * n)
+
+
+def series_parallel_resistances(conductances):
+    """All-pairs resistances of a cycle, exact in rationals and rounded once:
+    the two arcs between i < j hold a and S - a of the series sum S, so
+    R_ij = a (S - a) / S."""
+    r = [1 / Fraction(c) for c in conductances]
+    total = sum(r)
+    n = len(r)
+    out = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            arc = sum(r[i:j])
+            out[i][j] = out[j][i] = float(arc * (total - arc) / total)
+    return out
+
+
+def edge_sum_residual(g):
+    """Foster's residual |sum of c_e R_e - (n - 1)| / (n - 1), summed edge by edge.
+
+    R_e is the mean of R_ij and R_ji: the computed inverse is symmetric only
+    to round-off, and -<L, R>/2 reads both halves."""
+    r, _ = _resistance_matrix(g)
+    total = math.fsum(c * (r[i, j] + r[j, i]) / 2 for i, j, c in g.edges)
+    return abs(total - (g.n - 1)) / (g.n - 1)
 
 
 class TestEffectiveResistance:
@@ -71,18 +99,25 @@ class TestEffectiveResistance:
         with pytest.raises(DisconnectedGraphError):
             effective_resistance(g, 0, 1)
 
-    def test_ill_conditioning_warning(self):
-        g = cycle(4, [1.0, 1e16, 1e-16, 1.0])
-        with pytest.warns(IllConditionedWarning):
-            effective_resistance(g, 0, 1)
+    def test_extreme_ratio_four_cycle_is_exact_and_silent(self):
+        # conductance ratio 1e32, yet every pair is right to a few eps and
+        # Foster's identity holds, so no query warns
+        conductances = [1.0, 1e16, 1e-16, 1.0]
+        g = cycle(4, conductances)
+        want = series_parallel_resistances(conductances)
+        eps = np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    value = effective_resistance(g, i, j).value
+                    assert abs(value - want[i][j]) <= 4 * eps * want[i][j], (i, j)
 
-    def test_reports_pivot_ratio(self):
+    def test_reports_foster_residual(self):
         g = cycle(4, [1.0, 2.0, 3.0, 4.0])
-        # vertex 3 has the largest degree (7) and is grounded
-        _, want = solve_spd(laplacian(g).entries[:3, :3], np.eye(3), return_pivot_ratio=True)
         report = effective_resistance(g, 0, 2)
-        assert report.pivot_ratio == want
-        assert 1.0 <= report.pivot_ratio <= ILL_CONDITIONED_PIVOT_RATIO
+        assert report.foster_residual == _resistance_matrix(g)[1]
+        assert report.foster_residual <= FOSTER_RESIDUAL_LIMIT
 
 
 class TestOneEliminationPerGraph:
@@ -120,32 +155,144 @@ class TestOneEliminationPerGraph:
         assert matrix() is None
         assert key not in _ELIMINATIONS
 
-    @pytest.mark.parametrize("g", [
-        build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]),
+    @pytest.mark.parametrize("g, error", [
+        (build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]), DisconnectedGraphError),
         # connected, but the grounded Cholesky factorization breaks down
-        cycle(6, [1.0, 1e16, 1.0, 1e16, 1.0, 1e16]),
-    ], ids=["disconnected", "cholesky_breakdown"])
-    def test_failed_elimination_raises_on_every_query(self, g):
+        (cycle(6, [1.0, 1e16, 1.0, 1e16, 1.0, 1e16]), NotPositiveDefiniteError),
+        # connected, factorized, but R_12 comes out as exactly 0 (true value 1e-300)
+        (cycle(4, [1.0, 1e300, 1.0, 1e300]), np.linalg.LinAlgError),
+        (cycle(6, [1e300, 1.0, 1e300, 1.0, 1.0, 1.0]), np.linalg.LinAlgError),
+    ], ids=["disconnected", "cholesky_breakdown", "zero_resistance", "zero_resistance_six"])
+    def test_failed_elimination_raises_on_every_query(self, g, error):
         for _ in range(2):
-            with pytest.raises(DisconnectedGraphError):
+            with pytest.raises(error):
                 effective_resistance(g, 0, 1)
-            with pytest.raises(DisconnectedGraphError):
+            with pytest.raises(error):
                 global_resistance(g)
-            with pytest.raises(DisconnectedGraphError):
+            with pytest.raises(error):
                 metric_check(g)
             assert id(g) not in _ELIMINATIONS
 
     def test_ill_conditioning_warns_on_every_query(self):
-        g = cycle(4, [1.0, 1e16, 1e-16, 1.0])
+        # off by ~1e-8 relative; the residual (2.3e-9) says so
+        g = cycle(6, [1.0, 1e8, 1.0, 1e8, 1.0, 1e8])
         for _ in range(2):
             with pytest.warns(IllConditionedWarning):
                 report = effective_resistance(g, 0, 1)
-            assert report.pivot_ratio > ILL_CONDITIONED_PIVOT_RATIO
+            assert report.foster_residual > FOSTER_RESIDUAL_LIMIT
             with pytest.warns(IllConditionedWarning):
                 global_resistance(g)
             with pytest.warns(IllConditionedWarning):
                 metric_check(g)
 
+
+def benchmark_kind_graphs(seed):
+    """Cycles and random connected graphs with 2n edges, n = 10-80, conductances
+    log-uniform over four decades: the inputs of the benchmark's graph workload."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for k in range(24):
+        n = int(rng.integers(10, 81))
+        if k % 2 == 0:
+            pairs = [(v, (v + 1) % n) for v in range(n)]
+        else:
+            order = rng.permutation(n)
+            pairs = {tuple(sorted((int(order[v]), int(order[rng.integers(v)])))) for v in range(1, n)}
+            while len(pairs) < 2 * n:
+                i, j = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+                pairs.add((i, j))
+        weights = 10.0 ** rng.uniform(0.0, 4.0, len(pairs))
+        graphs.append(build_graph(n, [(i, j, float(c)) for (i, j), c in zip(sorted(pairs), weights)]))
+    return graphs
+
+
+class TestFosterResidual:
+    def test_silent_on_benchmark_kind_inputs(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in benchmark_kind_graphs(31):
+                report = effective_resistance(g, 0, 1)
+                global_resistance(g)
+                assert report.foster_residual < 1e-12
+
+    def test_equals_the_edge_sum_form(self):
+        eps = np.finfo(float).eps
+        for g in benchmark_kind_graphs(32):
+            residual = _resistance_matrix(g)[1]
+            assert abs(residual - edge_sum_residual(g)) <= 4 * eps, g.n
+
+
+def mpmath_resistances(g, digits):
+    """All-pairs resistances from the grounded Laplacian inverted in mpmath."""
+    with mpmath.workdps(digits):
+        last = g.n - 1
+        h = mpmath.zeros(last, last)
+        for i, j, c in g.edges:
+            for a, b in ((i, i), (j, j), (i, j), (j, i)):
+                if a < last and b < last:
+                    h[a, b] += c if a == b else -c
+        green = h ** -1
+
+        def entry(a, b):
+            return green[a, b] if a < last and b < last else mpmath.mpf(0)
+
+        return [[entry(a, a) + entry(b, b) - 2 * entry(a, b) for b in range(g.n)] for a in range(g.n)]
+
+
+#: Item 8's table of ROADMAP cycles, plus the 1e32 4-cycle and the 1e16 breakdown.
+TABLE_CYCLES = [
+    (1.0, 1.0, 1.0, 1.0, 1.0, 1e12),
+    (1.0, 1e12) * 3,
+    (1.0, 1e14, 1.0, 1.0, 1e14, 1.0),
+    (1.0, 1.0, 1.0, 1.0, 1.0, 1e16),
+    (1.0, 1e300, 1.0, 1e300),
+    (1.0, 1e8) * 3,
+    (1.0, 1e16, 1e-16, 1.0),
+    (1.0, 1e16) * 3,
+]
+
+
+def foster_corpus(seed=14, count=60):
+    """(graph, decades of conductance ratio): cycles and random graphs with
+    n = 3-8 and ratios 1e2-1e32, then the table cycles."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for k in range(count):
+        n = int(rng.integers(3, 9))
+        decades = float(rng.uniform(2.0, 32.0))
+        lo, hi = 10.0 ** (-decades / 2), 10.0 ** (decades / 2)
+        g = random_cycle(rng, n, lo, hi) if k % 2 == 0 else random_connected_graph(rng, n, lo, hi)
+        corpus.append((g, decades))
+    corpus += [(cycle(len(c), list(c)), math.log10(max(c) / min(c))) for c in TABLE_CYCLES]
+    return corpus
+
+
+class TestFosterCorpusGate:
+    def test_warning_separates_wrong_from_exact(self):
+        # the residual is necessary, not sufficient: results between 1e-12 and
+        # 1e-9 off may go either way, but a wrong one always warns, an exact one never
+        wrong = exact = failed = 0
+        for g, decades in foster_corpus():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    r, _ = _resistance_matrix(g)
+                except np.linalg.LinAlgError:
+                    failed += 1
+                    assert id(g) not in _ELIMINATIONS
+                    continue
+            warned = any(issubclass(w.category, IllConditionedWarning) for w in caught)
+            want = mpmath_resistances(g, int(40 + 2 * decades))
+            error = max(float(abs(r[a, b] - want[a][b]) / want[a][b])
+                        for a in range(g.n) for b in range(g.n) if a != b)
+            if error > 1e-9:
+                wrong += 1
+                assert warned, (g.edges, error)
+            elif error < 1e-12:
+                exact += 1
+                assert not warned, (g.edges, error)
+        # the corpus exercises all three outcomes
+        assert wrong >= 5 and exact >= 30 and failed >= 2
 
 class TestOracle:
     def test_unit_three_cycle(self):
