@@ -4,30 +4,94 @@ Two primitives back the general-graph queries (spectra, resistances, metric
 checks): a full symmetric eigendecomposition (``dsyevr``) and a Cholesky
 factorization and solve (``dpotrf``/``dpotrs``) for symmetric
 positive-definite systems. They call the ``scipy.linalg.lapack`` wrappers
-directly: on the small matrices handled here these run in the calling thread,
-while ``scipy.linalg.solve_triangular`` wakes a BLAS worker thread even for
-2x2 systems. Neither judges its accuracy; the resistance module checks Foster's identity.
+directly; ``scipy.linalg.solve_triangular`` would wake a BLAS worker thread
+even for 2x2 systems. Neither judges its accuracy; the resistance module
+checks Foster's identity.
 
-The wrappers are imported on first use, by :func:`_lapack`. Importing
-``scipy.linalg`` takes about a quarter of a second (2-core Xeon), longer than
-a whole ``verify`` run, and the cycle paths (theorem check, figures, search)
-use numpy alone, so they never pay for it.
+Each LAPACK call runs with scipy's OpenBLAS held at one thread, and the
+thread count it had is restored afterwards, also when the call raises. From
+n = 40 (``dpotrs`` with n - 1 right-hand sides) and n = 80 (``dsyevr``) the
+library otherwise hands work to its worker thread, which then spins after the
+call returns and keeps a second core busy: a loop of these calls at n = 80
+took 1.9-2.0 CPU seconds per wall second, and 1.1 with the scope (2-core
+Xeon). The scope costs about a microsecond per call. A scipy call that
+another Python thread makes while an ohmlab call is inside the scope runs on
+one thread as well. Where no OpenBLAS thread control is found behind scipy's
+LAPACK (another BLAS, another platform), the calls run unscoped.
+
+The wrappers are imported, and the library found, on first use, by
+:func:`_lapack`. Importing ``scipy.linalg`` takes about a quarter of a second
+(2-core Xeon), longer than a whole ``verify`` run, and the cycle paths
+(theorem check, figures, search) use numpy alone, so they never pay for it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 
+def _openblas_threads(lapack):
+    """The (get, set) thread-count functions of the OpenBLAS behind ``lapack``, or None.
+
+    The symbol lookup on scipy's already loaded LAPACK extension searches the
+    libraries it was linked against, so it finds the OpenBLAS its calls run on
+    and not numpy's, which exports the same names with a ``64_`` suffix.
+    """
+    try:
+        library = ctypes.CDLL(lapack._flapack.__file__, mode=getattr(os, "RTLD_NOLOAD", 0))
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get = getattr(library, f"{prefix}_get_num_threads")
+            set_ = getattr(library, f"{prefix}_set_num_threads")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _OneThread:
+    """Holds a BLAS at one thread while any caller is inside; the last to leave
+    restores the count the first one found."""
+
+    def __init__(self, get, set_):
+        self._get, self._set = get, set_
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._inside == 0:
+                self._saved = self._get()
+                self._set(1)
+            self._inside += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0:
+                self._set(self._saved)
+
+
 @functools.cache
 def _lapack():
-    """The ``scipy.linalg.lapack`` module, imported on the first call."""
+    """The ``scipy.linalg.lapack`` module and the scope that runs its calls on
+    one BLAS thread, both made on the first call."""
     from scipy.linalg import lapack
 
-    return lapack
+    threads = _openblas_threads(lapack)
+    return lapack, _OneThread(*threads) if threads else contextlib.nullcontext()
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -99,11 +163,17 @@ def eigen_sym(matrix) -> Spectrum:
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
     a = sym.entries
-    values, vectors, _, _, info = _lapack().dsyevr(a, lower=1)
+    lapack, one_thread = _lapack()
+    with one_thread:
+        values, vectors, _, _, info = lapack.dsyevr(a, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info}")
     residuals = a @ vectors - vectors * values
-    max_residual = float(np.max(np.linalg.norm(residuals, axis=0)))
+    # each column's norm is taken at the power of two that brings its largest
+    # entry into [1/2, 1): exact, and the squares cannot overflow
+    _, exponents = np.frexp(np.max(np.abs(residuals), axis=0))
+    norms = np.ldexp(np.linalg.norm(np.ldexp(residuals, -exponents), axis=0), exponents)
+    max_residual = float(np.max(norms))
     return Spectrum(eigenvalues=values, eigenvectors=vectors, max_residual=max_residual)
 
 
@@ -114,7 +184,9 @@ def cholesky_lower(matrix) -> np.ndarray:
     reporting its (0-based) index and value.
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
-    lower, info = _lapack().dpotrf(sym.entries, lower=1)
+    lapack, one_thread = _lapack()
+    with one_thread:
+        lower, info = lapack.dpotrf(sym.entries, lower=1)
     if info > 0:
         # dpotrf stops at the failing pivot and leaves its value on the diagonal
         k = info - 1
@@ -132,7 +204,10 @@ def solve_spd(matrix, rhs) -> np.ndarray:
     the solution is, is for the caller to judge.
     """
     lower = cholesky_lower(matrix)
-    x, info = _lapack().dpotrs(lower, np.asarray(rhs, dtype=float), lower=1)
+    rhs = np.asarray(rhs, dtype=float)
+    lapack, one_thread = _lapack()
+    with one_thread:
+        x, info = lapack.dpotrs(lower, rhs, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dpotrs failed with info = {info}")
     return x

@@ -67,23 +67,40 @@ def _require_connected(g: WeightedGraph) -> None:
 def _eliminate(g: WeightedGraph) -> tuple[np.ndarray, float]:
     """All pairwise resistance distances, read-only, from one Cholesky solve of
     the grounded Laplacian, with their Foster residual; R has an exactly zero
-    diagonal, so -<L, R>/2 is the sum of c_e R_e. The graph is connected, so a
-    Cholesky breakdown (``NotPositiveDefiniteError``) or a resistance that is
-    not positive between distinct vertices is a numerical failure, a ``LinAlgError``."""
+    diagonal, so -<L, R>/2 is the sum of c_e R_e. The Laplacian is first scaled
+    by the even power of two 4^-k that brings its largest degree into [1/2, 2):
+    the square roots of the Cholesky factorization keep that scaling exact, so
+    in the normal range the solve and the residual give the bits they give
+    unscaled, and only R's final rescaling by 4^-k can leave the float range (a
+    resistance beyond it reads inf, which the queries reject).
+    The graph is connected, so a Cholesky breakdown (``NotPositiveDefiniteError``)
+    or a resistance that is not positive between distinct vertices is a
+    numerical failure, a ``LinAlgError``."""
     _require_connected(g)
     h = laplacian(g).entries
     ground = int(np.argmax(np.diag(h)))
-    keep = [k for k in range(g.n) if k != ground]
+    k = int(np.frexp(h[ground, ground])[1]) // 2
+    h = np.ldexp(h, -2 * k)
+    keep = [v for v in range(g.n) if v != ground]
     green = np.zeros((g.n, g.n))
     green[np.ix_(keep, keep)] = solve_spd(h[np.ix_(keep, keep)], np.eye(g.n - 1))
     diagonal = np.diag(green)
-    resistances = diagonal[:, None] + diagonal[None, :] - 2.0 * green
+    scaled = diagonal[:, None] + diagonal[None, :] - 2.0 * green
+    foster_residual = abs(-0.5 * float(np.vdot(h, scaled)) - (g.n - 1)) / (g.n - 1)
+    with np.errstate(over="ignore"):
+        resistances = np.ldexp(scaled, -2 * k)
     if not np.all(resistances[~np.eye(g.n, dtype=bool)] > 0.0):
         raise np.linalg.LinAlgError(
             "elimination lost all accuracy: a resistance between distinct vertices is not positive")
     resistances.setflags(write=False)
-    foster_residual = abs(-0.5 * float(np.vdot(h, resistances)) - (g.n - 1)) / (g.n - 1)
     return resistances, foster_residual
+
+
+def _in_range(value: float) -> float:
+    """``value``, unless it is a resistance past the float range."""
+    if value == math.inf:
+        raise np.linalg.LinAlgError("a resistance exceeds the float range")
+    return value
 
 
 #: id(graph) -> (weak reference to the graph, resistance matrix, Foster residual).
@@ -117,7 +134,7 @@ def effective_resistance(g: WeightedGraph, i: int, j: int) -> ResistanceReport:
     """Resistance distance between vertices i and j with the minimizing energy."""
     _check_pair(g, i, j)
     resistances, residual = _resistance_matrix(g)
-    value = float(resistances[i, j])
+    value = _in_range(float(resistances[i, j]))
     return ResistanceReport(pair=(i, j), value=value, energy_min=1.0 / value, foster_residual=residual)
 
 
@@ -145,7 +162,8 @@ def global_resistance(g: WeightedGraph) -> float:
     if not g.edges:
         raise GraphError("global resistance needs at least one edge")
     r, _ = _resistance_matrix(g)
-    return float(sum(r[i, j] for i, j, _ in g.edges))
+    # Python floats, which add past the float range to inf without a warning
+    return _in_range(sum(r.item(i, j) for i, j, _ in g.edges))
 
 
 def resistance_sums(conductances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,7 +210,7 @@ def metric_check(g: WeightedGraph, tol: float = 1e-10) -> bool:
     not change when every conductance is scaled by the same factor.
     """
     d, _ = _resistance_matrix(g)
-    slack = tol * float(d.max())
+    slack = tol * _in_range(float(d.max()))
     if np.max(np.abs(d - d.T)) > slack:
         return False
     for b in range(g.n):

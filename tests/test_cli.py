@@ -35,6 +35,8 @@ CHOLESKY_BREAKDOWN = cycle_file([1.0, 1e16, 1.0, 1e16, 1.0, 1e16])
 #: Cycles whose computed resistance matrix holds a zero (true value 1e-300) between distinct vertices.
 ZERO_RESISTANCE = cycle_file([1.0, 1e300, 1.0, 1e300])
 ZERO_RESISTANCE_SIX = cycle_file([1e300, 1.0, 1e300, 1.0, 1.0, 1.0])
+#: A cycle whose pairs three edges apart, and whose rho, lie past the float range.
+PAST_FLOAT_RANGE = cycle_file([1e-308] * 10)
 
 
 def write(tmp_path, name, text):
@@ -89,7 +91,10 @@ class TestResistanceCommand:
         (ZERO_RESISTANCE, ["rho"]),
         (ZERO_RESISTANCE, ["resistance", "1", "2"]),
         (ZERO_RESISTANCE_SIX, ["resistance", "2", "3"]),
-    ], ids=["rho_cholesky_breakdown", "rho_zero_resistance", "zero_resistance", "zero_resistance_six"])
+        (PAST_FLOAT_RANGE, ["resistance", "0", "3"]),
+        (PAST_FLOAT_RANGE, ["rho"]),
+    ], ids=["rho_cholesky_breakdown", "rho_zero_resistance", "zero_resistance", "zero_resistance_six",
+            "past_float_range", "rho_past_float_range"])
     def test_numerical_failure_exit_4(self, tmp_path, capsys, text, command):
         # connected graphs, so exit 4 (numerical failure), not 3 (disconnected),
         # and a zero resistance never reaches 1/value

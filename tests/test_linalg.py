@@ -1,5 +1,10 @@
 """LAPACK eigendecomposition and Cholesky SPD solves."""
 
+import contextlib
+import sys
+import threading
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,7 +23,9 @@ from ohmlab import (
     laplacian,
     solve_spd,
 )
+from ohmlab import linalg
 from ohmlab.cli import main
+from ohmlab.resistance import _eliminate
 
 from conftest import random_connected_graph
 
@@ -113,6 +120,16 @@ class TestEigenSym:
         spectrum = eigen_sym(np.array([[4.0]]))
         assert spectrum.eigenvalues[0] == 4.0
         assert spectrum.eigenvectors[0, 0] == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_residual_past_the_square_range_is_finite(self):
+        # residual entries reach ~1e285, whose squares overflow a float
+        a = laplacian(cycle(4, [1.0, 1e300, 1.0, 1e300])).entries
+        spectrum = eigen_sym(a)
+        v = spectrum.eigenvectors
+        residuals = (a @ v - v * spectrum.eigenvalues) * 2.0 ** -900
+        assert spectrum.max_residual == pytest.approx(
+            np.max(np.linalg.norm(residuals, axis=0)) * 2.0 ** 900, rel=1e-15)
 
     def test_lapack_failure_is_loud(self, monkeypatch, tmp_path):
         def failing_dsyevr(a, **kwargs):
@@ -242,3 +259,131 @@ class TestSolveSpd:
         lower = cholesky_lower(a)
         assert np.allclose(lower @ lower.T, a)
         assert lower[0, 1] == 0.0
+
+
+def laplacian_80() -> np.ndarray:
+    return laplacian(random_connected_graph(np.random.default_rng(80), 80)).entries
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of the OpenBLAS thread count behind scipy's LAPACK, set to 2
+    for the test and restored after it; skips where no such control exists."""
+    threads = linalg._openblas_threads(linalg._lapack()[0])
+    if threads is None:
+        pytest.skip("no OpenBLAS thread control behind scipy's LAPACK")
+    get, set_ = threads
+    original = get()
+    set_(2)
+    yield threads
+    set_(original)
+
+
+def watch_thread_count(monkeypatch, name, get):
+    """Wrap ``scipy.linalg.lapack.<name>``; the returned list collects the
+    thread count at each call."""
+    original = getattr(linalg._lapack()[0], name)
+    seen = []
+
+    def watched(*args, **kwargs):
+        seen.append(get())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(f"scipy.linalg.lapack.{name}", watched)
+    return seen
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("name, call", [
+        ("dsyevr", eigen_sym),
+        ("dpotrf", lambda a: cholesky_lower(a[1:, 1:])),
+        ("dpotrs", lambda a: solve_spd(a[1:, 1:], np.eye(79))),
+    ])
+    def test_call_runs_on_one_thread_and_restores_the_count(self, monkeypatch, blas_threads, name, call):
+        get, _ = blas_threads
+        before = get()
+        seen = watch_thread_count(monkeypatch, name, get)
+        call(laplacian_80())
+        assert seen == [1]
+        assert get() == before
+
+    def test_count_restored_after_not_positive_definite(self, blas_threads):
+        get, _ = blas_threads
+        before = get()
+        with pytest.raises(NotPositiveDefiniteError):
+            solve_spd(-laplacian_80()[1:, 1:], np.eye(79))
+        assert get() == before
+
+    def test_count_restored_when_the_call_raises(self, monkeypatch, blas_threads):
+        def broken_dsyevr(a, **kwargs):
+            raise ValueError("broken wrapper")
+
+        get, _ = blas_threads
+        before = get()
+        monkeypatch.setattr("scipy.linalg.lapack.dsyevr", broken_dsyevr)
+        with pytest.raises(ValueError, match="broken wrapper"):
+            eigen_sym(np.eye(2))
+        assert get() == before
+
+    def test_results_identical_without_thread_control(self, monkeypatch):
+        a = laplacian_80()
+
+        def results():
+            spectrum = eigen_sym(a)
+            return (spectrum.eigenvalues, spectrum.eigenvectors, spectrum.max_residual,
+                    cholesky_lower(a[1:, 1:]), solve_spd(a[1:, 1:], np.eye(79)))
+
+        scoped = results()
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda lapack: None)
+        linalg._lapack.cache_clear()
+        try:
+            assert isinstance(linalg._lapack()[1], contextlib.nullcontext)
+            unscoped = results()
+        finally:
+            # the next caller probes the library again, once the patch is undone
+            linalg._lapack.cache_clear()
+        for mine, theirs in zip(scoped, unscoped):
+            assert np.array_equal(mine, theirs)
+
+    def test_worker_thread_stays_idle(self, blas_threads):
+        # the worker spun after dpotrs with 79 right-hand sides and after
+        # dsyevr at n = 80: 1.98 CPU seconds per wall second, unscoped
+        g = random_connected_graph(np.random.default_rng(81), 80)
+        h = laplacian(g)
+        _eliminate(g), eigen_sym(h)
+        wall, cpu = time.perf_counter(), time.process_time()
+        while time.perf_counter() - wall < 0.5:
+            _eliminate(g), eigen_sym(h)
+        assert (time.process_time() - cpu) / (time.perf_counter() - wall) < 1.5
+
+    def test_concurrent_callers_share_one_scope(self, monkeypatch, blas_threads):
+        # a caller that saved another's count of 1 and restored it last would
+        # leave the library at one thread, or run a call on two
+        get, _ = blas_threads
+        before = get()
+        seen = watch_thread_count(monkeypatch, "dsyevr", get)
+        a = laplacian_80()[:6, :6]
+        failures = []
+
+        def work():
+            try:
+                deadline = time.perf_counter() + 0.3
+                while time.perf_counter() < deadline:
+                    eigen_sym(a)
+            except Exception as exc:  # reported below, on the test's thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
+        assert seen and set(seen) == {1}
+        assert get() == before

@@ -120,6 +120,38 @@ class TestEffectiveResistance:
         assert report.foster_residual <= FOSTER_RESIDUAL_LIMIT
 
 
+class TestFloatRange:
+    """The elimination runs on the Laplacian scaled by a power of four."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_resistances_near_the_float_limit(self):
+        g = cycle(10, [1e-308] * 10)
+        # the two arcs of the unit-weight cycle hold k and 10 - k of the 10 resistances
+        r = 1 / Fraction(1e-308)
+        for j, arc in ((1, 1), (2, 2), (9, 1)):
+            want = float(arc * (10 - arc) * r / 10)
+            assert effective_resistance(g, 0, j).value == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_past_the_float_range_raise(self):
+        g = cycle(10, [1e-308] * 10)
+        with pytest.raises(np.linalg.LinAlgError, match="float range"):
+            effective_resistance(g, 0, 3)  # 2.1e308
+        with pytest.raises(np.linalg.LinAlgError, match="float range"):
+            global_resistance(g)  # 9e308
+        with pytest.raises(np.linalg.LinAlgError, match="float range"):
+            metric_check(g)
+
+    def test_power_of_four_scaling_moves_no_bit(self):
+        # Cholesky's square roots keep an even power of two exact, not an odd one
+        g = random_connected_graph(np.random.default_rng(29), 12)
+        r, residual = _resistance_matrix(g)
+        for exponent in (-1000, -300, 2, 300, 1000):
+            scaled, scaled_residual = _resistance_matrix(scale(g, 2.0 ** exponent))
+            assert np.array_equal(scaled, np.ldexp(r, -exponent))
+            assert scaled_residual == residual
+
+
 class TestOneEliminationPerGraph:
     def test_every_query_on_one_graph_shares_one_elimination(self, monkeypatch):
         g = random_connected_graph(np.random.default_rng(1), 30)
