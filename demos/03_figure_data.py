@@ -7,50 +7,54 @@ the constraint solver. For fig2 and fig4 the catalogued closed-form
 expression for that edge fails the constant-resistance check, so those CSVs
 carry the solver curve and the catalogued one side by side.
 
-Equivalent CLI calls: `ohmlab figure fig1 0.6 1.9 131 --out fig1.csv` etc.
+Each CSV is written by the `ohmlab figure` command, run in-process, so this
+script writes the same bytes as `ohmlab figure fig1 0.6 1.9 131 --out fig1.csv`
+etc.; the plots are read back from those files.
 """
 
+import csv
 import os
 
 import numpy as np
 
 import ohmlab as ol
+from ohmlab.cli import main as ohmlab_main
 
+#: family -> (lo, hi, steps) of its parameter grid
 GRIDS = {
-    "fig1": np.linspace(0.6, 1.9, 131),
-    "fig2": np.linspace(0.1, 2.9, 141),
-    "fig3": np.linspace(0.3, 3.0, 136),
-    "fig4": np.linspace(0.4, 2.5, 106),
-    "fig5": np.linspace(0.4, 2.5, 106),
+    "fig1": (0.6, 1.9, 131),
+    "fig2": (0.1, 2.9, 141),
+    "fig3": (0.3, 3.0, 136),
+    "fig4": (0.4, 2.5, 106),
+    "fig5": (0.4, 2.5, 106),
 }
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
 
+def read_columns(path):
+    """The CSV's columns by header name, as float arrays; comment lines are skipped."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(line for line in handle if not line.startswith("#")))
+    return {name: np.array([float(row[k]) for row in rows[1:]]) for k, name in enumerate(rows[0])}
+
+
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
     curves = {}
-    for family, grid in GRIDS.items():
-        rows = ol.scan_family(family, grid)
-        params = np.array([r.parameter for r in rows])
-        eigen = np.array([r.eigenvalues[1:] for r in rows])
-        curves[family] = (params, eigen)
-
+    for family, (lo, hi, steps) in GRIDS.items():
         path = os.path.join(OUT_DIR, f"{family}.csv")
-        with open(path, "w") as handle:
-            n = ol.FIGURE_FAMILIES[family].n
-            handle.write("param," + ",".join(f"lambda_{k}" for k in range(1, n)) + ",rho\n")
-            for r in rows:
-                handle.write(",".join(repr(v) for v in
-                                      (r.parameter, *r.eigenvalues[1:], r.rho)) + "\n")
-        print(f"{family}: {len(rows)} rows -> {path}")
+        if ohmlab_main(["figure", family, repr(lo), repr(hi), str(steps), "--out", path]) != 0:
+            raise SystemExit(f"ohmlab figure {family} failed")
+        columns = read_columns(path)
+        n = ol.FIGURE_FAMILIES[family].n
+        curves[family] = (columns["param"], np.column_stack([columns[f"lambda_{k}"] for k in range(1, n)]))
         if family in ol.DISPUTED_REFERENCES:
-            solved = ol.FIGURE_FAMILIES[family].solved_edge
-            sample = rows[len(rows) // 3]
-            ref = ol.reference_conductance(family, sample.parameter)
-            print(f"   note: catalogued formula gives {ref:.6f} at param "
-                  f"{sample.parameter:.4f} where the solver needs "
-                  f"{sample.conductances[solved]:.6f} to keep rho fixed")
+            # the solved edge is c_0_1 in every disputed family
+            k = len(columns["param"]) // 3
+            print(f"   note: catalogued formula gives {columns['reference_c'][k]:.6f} at param "
+                  f"{columns['param'][k]:.4f} where the solver needs "
+                  f"{columns['c_0_1'][k]:.6f} to keep rho fixed")
 
     try:
         import matplotlib

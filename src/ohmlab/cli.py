@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .extremal import scan_family, search_counterexample, unit_cycle_baseline, verify_theorem
-from .families import (DISPUTED_REFERENCES, FIGURE_FAMILIES, InfeasibleFamilyError, cycle_spectra,
-                       reference_conductance)
+from .extremal import search_counterexample, unit_cycle_baseline, verify_theorem
+from .families import (DISPUTED_REFERENCES, FIGURE_FAMILIES, REFERENCE_FORMULAS, InfeasibleFamilyError,
+                       _feasible_grid, cycle_spectra)
 from .graphs import GraphError, GraphFormatError, laplacian, load_graph
 from .linalg import eigen_sym
 from .resistance import effective_resistance, global_resistance
@@ -75,26 +75,30 @@ def _cmd_verify(args) -> int:
     return 0 if (report.lower_ok and report.upper_ok) else 10
 
 
-def _reference_columns(family: str, rows) -> list[tuple[float, float]]:
-    """(reference conductance, its rho error) for the solved edge of each row, by one
-    :func:`cycle_spectra` call; the error is NaN where the reference is not positive and finite."""
+def _reference_columns(family: str, grid) -> np.ndarray:
+    """(m, 2) reference conductance of the solved edge at each grid parameter and its
+    rho error, by one :func:`cycle_spectra` call; the error is NaN where the reference
+    is not positive and finite."""
     spec = FIGURE_FAMILIES[family]
-    references = np.array([reference_conductance(family, point.parameter) for point in rows])
-    cycles = np.array([point.conductances for point in rows])
+    # overflow gives inf or NaN silently, as on Python floats; no member of a
+    # disputed family sits on a zero denominator
+    with np.errstate(all="ignore"):
+        references = np.asarray(REFERENCE_FORMULAS[family](grid.params), dtype=float)
+    cycles = grid.conductances.copy()
     cycles[:, spec.solved_edge] = references
     usable = (references > 0.0) & (references < np.inf)
-    errors = np.full(len(rows), np.nan)
+    errors = np.full(len(references), np.nan)
     errors[usable] = cycle_spectra(cycles[usable])[1] - spec.target_rho
-    return list(zip(references.tolist(), errors.tolist()))
+    return np.column_stack((references, errors))
 
 
 def _cmd_figure(args) -> int:
-    if args.steps < 1 or not args.lo < args.hi:
-        print("figure: need lo < hi and steps >= 1", file=sys.stderr)
+    # hi - lo is finite only when both ends are, and linspace needs it finite
+    if args.steps < 1 or not args.lo < args.hi or not np.isfinite(args.hi - args.lo):
+        print("figure: need finite lo < hi and steps >= 1", file=sys.stderr)
         return 2
     spec = FIGURE_FAMILIES[args.family]
-    grid = np.linspace(args.lo, args.hi, args.steps)
-    rows = scan_family(args.family, grid)
+    grid = _feasible_grid(args.family, np.linspace(args.lo, args.hi, args.steps))
     with_reference = args.family in DISPUTED_REFERENCES
     if spec.n == 3:
         columns = _THREE_CYCLE_PAIR_ORDER
@@ -106,27 +110,25 @@ def _cmd_figure(args) -> int:
     headers = ["param"] + edge_names + ["rho"]
     headers += [f"lambda_{k}" for k in range(1, spec.n)]
     headers += ["lambda1_rho", "lambdamax_rho"]
+    blocks = [grid.params, grid.conductances[:, columns], grid.rho, grid.eigenvalues[:, 1:],
+              grid.eigenvalues[:, 1] * grid.rho, grid.eigenvalues[:, -1] * grid.rho]
     if with_reference:
         headers += ["reference_c", "reference_rho_err"]
+        references = _reference_columns(args.family, grid)
+        blocks.append(references)
+    table = np.column_stack(blocks)
 
-    references = _reference_columns(args.family, rows) if with_reference else [()] * len(rows)
+    # tolist() gives Python floats, whose repr is the shortest round-tripping text
     lines = [",".join(headers)]
-    for point, reference in zip(rows, references):
-        cells = [repr(point.parameter)]
-        cells += [repr(point.conductances[k]) for k in columns]
-        cells.append(repr(point.rho))
-        cells += [repr(v) for v in point.eigenvalues[1:]]
-        cells.append(repr(point.lambda1_rho))
-        cells.append(repr(point.lambdamax_rho))
-        cells += [repr(v) for v in reference]
-        lines.append(",".join(cells))
-    lines.append(f"# skipped {len(grid) - len(rows)} infeasible grid points of {len(grid)}")
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    lines.append(f"# skipped {args.steps - len(table)} infeasible grid points of {args.steps}")
     if with_reference:
-        worst = max((abs(err) for _, err in references if np.isfinite(err)), default=0.0)
+        errors = references[:, 1]
+        worst = float(np.abs(errors[np.isfinite(errors)]).max(initial=0.0))
         lines.append(f"# reference formula: max |rho - {_fmt(spec.target_rho)}| = {_fmt(worst)}")
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(table)} rows to {args.out}")
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,9 +113,23 @@ def cycle_spectra(conductances) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, np.ldexp(2.0 * pairs / total, exponents)
 
 
-def _realize(family: str, params: Sequence[float], conductances: np.ndarray) -> list[CyclePoint]:
-    """Family points at the given parameters from their (m, n) conductances, by one :func:`cycle_spectra` call."""
-    eigenvalues, rhos = cycle_spectra(conductances)
+class _FamilyGrid(NamedTuple):
+    """Family points as arrays, one row per point: (m,) parameters, (m, n)
+    conductances in edge order, (m, n) ascending eigenvalues and (m,) rho."""
+
+    params: np.ndarray
+    conductances: np.ndarray
+    eigenvalues: np.ndarray
+    rho: np.ndarray
+
+
+def _spectra_of(params: np.ndarray, conductances: np.ndarray) -> _FamilyGrid:
+    """The points with these parameters and (m, n) conductances, by one :func:`cycle_spectra` call."""
+    return _FamilyGrid(params, conductances, *cycle_spectra(conductances))
+
+
+def _realize(family: str, grid: _FamilyGrid) -> list[CyclePoint]:
+    """One :class:`CyclePoint` per row of ``grid``."""
     return [
         CyclePoint(
             family=family,
@@ -126,7 +140,7 @@ def _realize(family: str, params: Sequence[float], conductances: np.ndarray) -> 
             products=tuple(x * rho for x in spectrum[1:]),
         )
         for parameter, values, spectrum, rho
-        in zip(params, conductances.tolist(), eigenvalues.tolist(), rhos.tolist())
+        in zip(grid.params.tolist(), grid.conductances.tolist(), grid.eigenvalues.tolist(), grid.rho.tolist())
     ]
 
 
@@ -143,7 +157,7 @@ def two_equal_family(b: float) -> CyclePoint:
             f"two-equal family needs b strictly inside (1/2, 2), got {b!r}"
         )
     c01 = b * (2.0 - b) / (2.0 * b - 1.0)
-    return _realize("two-equal", [b], np.array([(c01, b, b)]))[0]
+    return _realize("two-equal", _spectra_of(np.array([b]), np.array([(c01, b, b)])))[0]
 
 
 def two_equal_eigenvalues(b: float) -> ClosedFormEigenvalues:
@@ -236,7 +250,12 @@ FIGURE_FAMILIES: dict[str, FamilySpec] = {
 
 # Catalogued closed forms for the solved edge. fig1 and fig3 agree with the
 # constraint solver; the fig2 and fig4 expressions do NOT satisfy the family's
-# fixed global resistance and are emitted only for comparison.
+# fixed global resistance and are emitted only for comparison: the catalogued
+# fig2 edge gives rho = 2 + 2r(r - 3)/(r + 3)^2 and the fig4 edge rho = 4.
+# The exact solved edges are (3 - r)/(2r + 1) for fig2 and
+# (2c^2 - c + 2)/(c^2 + c + 1) for fig4, and z = (b + r - br)/(b + r - 1) on
+# the rho = 2 family (z, b, r) of the lemma scans; the solver matches them to
+# 8 ulps times their condition number |p z'(p)/z(p)|.
 REFERENCE_FORMULAS: dict[str, Callable[[float], float]] = {
     "fig1": lambda b: b * (2.0 - b) / (2.0 * b - 1.0),
     "fig2": lambda r: (3.0 - r) / (r + 1.0),
@@ -294,7 +313,24 @@ def figure_family(family: str, param: float) -> CyclePoint:
         # raises when the known edges leave the free edge no positive value
         solve_last_cycle_conductance(np.delete(conductances, spec.solved_edge).tolist(), spec.target_rho)
         raise InfeasibleFamilyError(f"{point}: conductances {conductances.tolist()} are not all positive and finite")
-    return _realize(family, [param], conductances[None])[0]
+    return _realize(family, _spectra_of(np.array([param]), conductances[None]))[0]
+
+
+def _feasible_grid(family: str, param_grid: Iterable[float]) -> _FamilyGrid:
+    """The feasible points of a family over a parameter grid, ascending in the parameter.
+
+    NaN and infeasible parameters are dropped; if none is left a ValueError is
+    raised. One solve gives the free edge of every point, and one
+    :func:`cycle_spectra` call the spectra and rho of the members. This is the
+    core behind :func:`scan_family` and the ``figure`` command's CSV.
+    """
+    params = np.fromiter(map(float, param_grid), dtype=float)
+    # a stable sort keeps the order of equal values, as sorted() would
+    params = np.sort(params[~np.isnan(params)], kind="stable")
+    conductances, members = _family_conductances(family, params)
+    if not members.any():
+        raise ValueError(f"no feasible grid points for family {family!r}")
+    return _spectra_of(params[members], conductances[members])
 
 
 def scan_family(family: str, param_grid: Sequence[float]) -> list[CyclePoint]:
@@ -305,9 +341,4 @@ def scan_family(family: str, param_grid: Sequence[float]) -> list[CyclePoint]:
     returned row count. One solve gives the free edge of every point, and one
     :func:`cycle_spectra` call realizes all feasible points together.
     """
-    # sorted() cannot order a list holding a NaN
-    params = np.array(sorted(p for p in map(float, param_grid) if not math.isnan(p)))
-    conductances, members = _family_conductances(family, params)
-    if not members.any():
-        raise ValueError(f"no feasible grid points for family {family!r}")
-    return _realize(family, params[members].tolist(), conductances[members])
+    return _realize(family, _feasible_grid(family, param_grid))

@@ -2,8 +2,10 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 import ohmlab
-from ohmlab import cycle_rho_closed_form, scan_family
+from ohmlab import (DISPUTED_REFERENCES, FIGURE_FAMILIES, cycle_rho_closed_form, reference_conductance,
+                    scan_family)
 from ohmlab.cli import build_parser, main
 
 UNIT_THREE = "n 3\n0 1 1\n0 2 1\n1 2 1\n"
@@ -188,23 +191,85 @@ class TestVerifyCommand:
         assert "cannot be resolved" in captured.err
 
 
+#: sha256 of the ``figure`` CSV per (family, lo, hi, steps), recorded while the
+#: CSV was still written row by row from ``CyclePoint``s (numpy 2.4 on x86-64).
+#: The first grids skip infeasible points: fig2 crosses r = -1 and r = 0, and
+#: fig4 starts at c = 0. The 600-point grids are the benchmark's.
+FIGURE_CSV_SHA256 = {
+    ("fig1", "0.4", "2.2", "37"): "1ec68d01cc0a3d3c6bf87111cafda3b9a89076396d027d73ef0d8ec8ff439870",
+    ("fig2", "-1", "2.9", "40"): "e2aa961f61e72e2cdacb603569f789f3f8ce9d2a83cf6843ebcf1f9bb70178f5",
+    ("fig2", "0.01", "3.5", "61"): "682f527a271f3e4d5878154e883c7b9a6a68ca1e3ed2a3c1eedd108283171b4d",
+    ("fig3", "0.1", "12", "50"): "15be0a01471c04090fbf0b92abbf03dee2499ff99a6cdcfe478ac9886cf69992",
+    ("fig4", "0", "5", "11"): "bc090394b3dcffc6f7a3d623c1f607990ec1f3ec5f09453c4c0d2c4732409e75",
+    ("fig4", "-0.5", "10", "64"): "c201ac0bcaef8264fce37884c2b5a477c8f87558ae124bb7a0ec5648016395d9",
+    ("fig5", "-0.3", "10", "55"): "1825f37f4c893501f73be9a9f2f54bd0db55002764426c0ebf5835b37568b913",
+    ("fig1", "0.505", "1.995", "600"): "227402ee52100619ad818b91347116b16715a8017701cd263cc12f5d990e9d3e",
+    ("fig2", "0.01", "2.99", "600"): "44dce4da9478d6f21add3bea907fa41194752898cafd93d0c3dc5e4cae408025",
+    ("fig3", "0.26", "12.0", "600"): "aa0ae0cf8f1dc0385156025abff8c61af6cc67b0a25573c85fc94eb18ef85672",
+    ("fig4", "0.1", "10.0", "600"): "6a51401552b34c5cdad022e70b0b38f7a7c0384a24295f615e7aa2cf734aa834",
+    ("fig5", "0.2", "10.0", "600"): "76abdb5f6da97731a78072396752877b1e5f6c4c1e5341b14047a4607c9ebc0d",
+}
+
+
+def assert_csv_matches_recomputation(tmp_path, family, lo, hi, steps):
+    """Each cell of the ``figure`` CSV is the repr of the value recomputed from
+    :func:`scan_family` and, for disputed families, :func:`reference_conductance`."""
+    out = str(tmp_path / f"{family}.csv")
+    assert main(["figure", family, lo, hi, str(steps), "--out", out]) == 0
+    with open(out) as handle:
+        lines = handle.read().splitlines()
+    spec = FIGURE_FAMILIES[family]
+    disputed = family in DISPUTED_REFERENCES
+    if spec.n == 3:
+        edges = ["c_0_1", "c_0_2", "c_1_2"]
+        lambdas = ["lambda_1", "lambda_2"]
+    else:
+        edges = ["c_0_1", "c_1_2", "c_2_3", "c_0_3"]
+        lambdas = ["lambda_1", "lambda_2", "lambda_3"]
+    assert lines[0].split(",") == (["param"] + edges + ["rho"] + lambdas + ["lambda1_rho", "lambdamax_rho"]
+                                   + ["reference_c", "reference_rho_err"] * disputed)
+    points = scan_family(family, np.linspace(float(lo), float(hi), steps))
+    worst = 0.0
+    for line, point in zip(lines[1:], points):
+        c = point.conductances
+        # 3-cycle columns name vertex pairs (c01, c02, c12); points hold edge order (c01, c12, c02)
+        expected = [point.parameter, *((c[0], c[2], c[1]) if spec.n == 3 else c), point.rho,
+                    *point.eigenvalues[1:], point.lambda1_rho, point.lambdamax_rho]
+        if disputed:
+            reference = reference_conductance(family, point.parameter)
+            cycle = list(c)
+            cycle[spec.solved_edge] = reference
+            error = cycle_rho_closed_form(cycle) - spec.target_rho if 0.0 < reference < math.inf else math.nan
+            expected += [reference, error]
+            worst = max(worst, abs(error)) if math.isfinite(error) else worst
+        assert line.split(",") == [repr(v) for v in expected]
+    comments = [f"# skipped {steps - len(points)} infeasible grid points of {steps}"]
+    if disputed:
+        comments.append(f"# reference formula: max |rho - {spec.target_rho:.15g}| = {worst:.15g}")
+    assert lines[1 + len(points):] == comments
+
+
 class TestFigureCommand:
     def test_fig1_csv_matches_recomputation_bitwise(self, tmp_path, capsys):
-        out = str(tmp_path / "fig1.csv")
-        assert main(["figure", "fig1", "0.6", "1.9", "19", "--out", out]) == 0
-        headers, rows, comments = parse_csv(out)
-        assert headers == ["param", "c_0_1", "c_0_2", "c_1_2", "rho",
-                           "lambda_1", "lambda_2", "lambda1_rho", "lambdamax_rho"]
-        recomputed = scan_family("fig1", np.linspace(0.6, 1.9, 19))
-        assert len(rows) == len(recomputed)
-        for row, point in zip(rows, recomputed):
-            assert row[0] == point.parameter
-            assert tuple(row[1:4]) == point.conductances
-            assert row[4] == point.rho
-            assert tuple(row[5:7]) == point.eigenvalues[1:]
-            assert row[7] == point.lambda1_rho
-            assert row[8] == point.lambdamax_rho
-        assert comments == ["# skipped 0 infeasible grid points of 19"]
+        assert_csv_matches_recomputation(tmp_path, "fig1", "0.6", "1.9", 19)
+        assert_csv_matches_recomputation(tmp_path, "fig1", "0.4", "2.2", 37)
+
+    @pytest.mark.parametrize("family,lo,hi,steps", [
+        ("fig2", "-1", "2.9", 40),
+        ("fig3", "0.1", "12", 50),
+        ("fig4", "0", "5", 11),
+        # the reference formula overflows to NaN here
+        ("fig4", "1e100", "1e200", 5),
+        ("fig5", "-0.3", "10", 55),
+    ])
+    def test_csv_matches_recomputation_bitwise(self, tmp_path, capsys, family, lo, hi, steps):
+        assert_csv_matches_recomputation(tmp_path, family, lo, hi, steps)
+
+    @pytest.mark.parametrize("grid", list(FIGURE_CSV_SHA256))
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys, grid):
+        out = tmp_path / "figure.csv"
+        assert main(["figure", *grid, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[grid]
 
     def test_fig1_peak_structure(self, tmp_path):
         out = str(tmp_path / "fig1.csv")
@@ -318,6 +383,15 @@ class TestFigureCommand:
         out = str(tmp_path / "fig1.csv")
         assert main(["figure", "fig1", "1.9", "0.6", "10", "--out", out]) == 2
         assert main(["figure", "fig1", "0.6", "1.9", "0", "--out", out]) == 2
+
+    @pytest.mark.parametrize("lo,hi", [("0.6", "inf"), ("-inf", "1.9"), ("nan", "1.9"), ("0.6", "nan"),
+                                       ("-1e308", "1e308")])
+    def test_non_finite_range_exit_2(self, tmp_path, capsys, lo, hi):
+        # linspace would warn on these, and hi - lo overflows on the last
+        out = tmp_path / "fig1.csv"
+        assert main(["figure", "fig1", "--out", str(out), "--", lo, hi, "5"]) == 2
+        assert capsys.readouterr().err == "figure: need finite lo < hi and steps >= 1\n"
+        assert not out.exists()
 
 
 class TestSearchCommand:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ohmlab import (
+    DISPUTED_REFERENCES,
     FIGURE_FAMILIES,
     FamilySpec,
     InfeasibleFamilyError,
@@ -403,15 +404,31 @@ class TestOneSolvePerGrid:
         assert counts == {"_last_cycle_conductances": 1, "cycle_spectra": 1}
 
     def test_figure_reference_column(self, monkeypatch, tmp_path):
-        cli_counts = count_calls(monkeypatch, ohmlab.cli, ("cycle_spectra", "scan_family"))
-        family_counts = count_calls(monkeypatch, ohmlab.families, ("_last_cycle_conductances", "resistance_sums"))
+        cli_counts = count_calls(monkeypatch, ohmlab.cli, ("_feasible_grid", "cycle_spectra"))
+        family_counts = count_calls(monkeypatch, ohmlab.families,
+                                    ("_last_cycle_conductances", "cycle_spectra", "resistance_sums", "CyclePoint"))
         out = tmp_path / "fig2.csv"
         assert main(["figure", "fig2", "0.01", "2.99", "600", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 600 + 2
-        # one rho call for the reference column, beside the solve and the
-        # cycle_spectra call of the scan
-        assert cli_counts == {"cycle_spectra": 1, "scan_family": 1}
-        assert family_counts == {"_last_cycle_conductances": 1, "resistance_sums": 3}
+        # one solve and one cycle_spectra call for the grid, one rho call for
+        # the reference column, and no per-row point
+        assert cli_counts == {"_feasible_grid": 1, "cycle_spectra": 1}
+        assert family_counts == {"_last_cycle_conductances": 1, "cycle_spectra": 1, "resistance_sums": 3,
+                                 "CyclePoint": 0}
+
+    # fig2 is test_figure_reference_column
+    @pytest.mark.parametrize("family", ["fig1", "fig3", "fig4", "fig5"])
+    def test_figure_command(self, monkeypatch, tmp_path, family):
+        cli_counts = count_calls(monkeypatch, ohmlab.cli, ("_feasible_grid", "cycle_spectra"))
+        family_counts = count_calls(monkeypatch, ohmlab.families,
+                                    ("_last_cycle_conductances", "cycle_spectra", "resistance_sums", "CyclePoint"))
+        grid = BENCHMARK_GRIDS[family].tolist()
+        out = tmp_path / f"{family}.csv"
+        assert main(["figure", family, repr(grid[0]), repr(grid[-1]), str(len(grid)), "--out", str(out)]) == 0
+        disputed = family in DISPUTED_REFERENCES
+        assert cli_counts == {"_feasible_grid": 1, "cycle_spectra": int(disputed)}
+        assert family_counts == {"_last_cycle_conductances": 1, "cycle_spectra": 1,
+                                 "resistance_sums": 2 + int(disputed), "CyclePoint": 0}
 
 
 def _series_sums_loop(conductances):
