@@ -107,21 +107,29 @@ def _entry_offsets(n: int) -> np.ndarray:
     return np.array([[n, 1, n + 1, 0], [1, n, 0, n + 1]])
 
 
-def laplacian(g: WeightedGraph) -> SymmetricMatrix:
+def laplacian(g: WeightedGraph, exponent: int = 0) -> SymmetricMatrix:
     """Weighted graph Laplacian: H[k,k] = sum of incident conductances, H[i,j] = -c_ij.
 
     One ``np.bincount`` over the flat indices of every edge's four entries
     assembles the matrix. It adds the weights in edge order, so each diagonal
     entry is the left-to-right sum 0 + c_1 + c_2 + ... of its vertex's
     conductances, bit for bit the sum of the obvious per-edge loop.
+
+    With ``exponent`` e, the matrix is built from the conductances scaled by
+    2^e, which is 2^e H bit for bit while the scaled values stay normal, and
+    can hold a degree that would pass the float range unscaled. A degree past
+    the float range raises :class:`numpy.linalg.LinAlgError`.
     """
     n = g.n
     m = len(g.edges)
     columns = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=float, count=3 * m).reshape(m, 3)
     flat = columns[:, :2].astype(np.intp) @ _entry_offsets(n)
-    weights = columns[:, 2:] * _ENTRY_SIGNS
+    weights = np.ldexp(columns[:, 2:], exponent) * _ENTRY_SIGNS
     # bincount returns integer zeros when it is given no edges at all
     h = np.bincount(flat.ravel(), weights.ravel(), n * n).astype(float, copy=False)
+    # the conductances are finite, so only a degree can leave the float range
+    if not np.all(h[:: n + 1] < math.inf):
+        raise np.linalg.LinAlgError("a vertex degree exceeds the float range; matrix entries must be finite")
     return SymmetricMatrix(h.reshape(n, n))
 
 

@@ -3,7 +3,7 @@
 Two primitives back the general-graph queries (spectra, resistances, metric
 checks): a full symmetric eigendecomposition (``dsyevr``) and a Cholesky
 factorization and solve (``dpotrf``/``dpotrs``) for symmetric
-positive-definite systems. They call the ``scipy.linalg.lapack`` wrappers
+positive-definite systems. They call scipy's f2py LAPACK wrappers
 directly; ``scipy.linalg.solve_triangular`` would wake a BLAS worker thread
 even for 2x2 systems. Neither judges its accuracy; the resistance module
 checks Foster's identity.
@@ -19,10 +19,15 @@ another Python thread makes while an ohmlab call is inside the scope runs on
 one thread as well. Where no OpenBLAS thread control is found behind scipy's
 LAPACK (another BLAS, another platform), the calls run unscoped.
 
-The wrappers are imported, and the library found, on first use, by
-:func:`_lapack`. Importing ``scipy.linalg`` takes about a quarter of a second
-(2-core Xeon), longer than a whole ``verify`` run, and the cycle paths
-(theorem check, figures, search) use numpy alone, so they never pay for it.
+The three routines live in one extension module, ``scipy.linalg._flapack``,
+which :func:`_lapack` loads on first use. It imports the top-level ``scipy``
+package, for scipy's own platform and library set-up (about 17 ms), and loads
+the extension from ``scipy/linalg/`` by file name, without running the
+``scipy.linalg`` package, whose import takes about 0.29 s and 24 MiB of peak
+memory (2-core Xeon), longer than a whole ``verify`` run. The module is
+registered under its own name, so ``scipy.linalg``, imported before or after,
+shares it (``scipy.linalg.lapack.dsyevr`` is the same object). The cycle paths
+(theorem check, figures, search) use numpy alone, so they load neither.
 """
 
 from __future__ import annotations
@@ -30,22 +35,26 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def _openblas_threads(lapack):
-    """The (get, set) thread-count functions of the OpenBLAS behind ``lapack``, or None.
+def _openblas_threads(extension):
+    """The (get, set) thread-count functions of the OpenBLAS behind the loaded
+    LAPACK ``extension`` module, or None.
 
-    The symbol lookup on scipy's already loaded LAPACK extension searches the
-    libraries it was linked against, so it finds the OpenBLAS its calls run on
-    and not numpy's, which exports the same names with a ``64_`` suffix.
+    The symbol lookup on the already loaded extension searches the libraries
+    it was linked against, so it finds the OpenBLAS its calls run on and not
+    numpy's, which exports the same names with a ``64_`` suffix.
     """
     try:
-        library = ctypes.CDLL(lapack._flapack.__file__, mode=getattr(os, "RTLD_NOLOAD", 0))
+        library = ctypes.CDLL(extension.__file__, mode=getattr(os, "RTLD_NOLOAD", 0))
     except (AttributeError, OSError):
         return None
     for prefix in ("scipy_openblas", "openblas"):
@@ -84,14 +93,34 @@ class _OneThread:
                 self._set(self._saved)
 
 
+#: The extension module holding ``dsyevr``, ``dpotrf`` and ``dpotrs``.
+_FLAPACK = "scipy.linalg._flapack"
+
+
 @functools.cache
 def _lapack():
-    """The ``scipy.linalg.lapack`` module and the scope that runs its calls on
-    one BLAS thread, both made on the first call."""
-    from scipy.linalg import lapack
+    """scipy's LAPACK extension module and the scope that runs its calls on one
+    BLAS thread, both made on the first call.
 
-    threads = _openblas_threads(lapack)
-    return lapack, _OneThread(*threads) if threads else contextlib.nullcontext()
+    The extension is taken from ``sys.modules`` when it is loaded already, and
+    otherwise loaded from ``scipy/linalg/`` with the file-name suffixes of this
+    interpreter. A missing file raises ``ImportError`` naming that directory.
+    """
+    import scipy
+
+    extension = sys.modules.get(_FLAPACK)
+    if extension is None:
+        directory = os.path.join(scipy.__path__[0], "linalg")
+        finder = importlib.machinery.FileFinder(
+            directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_FLAPACK)
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}", name=_FLAPACK)
+        extension = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(extension)
+        sys.modules[_FLAPACK] = extension
+    threads = _openblas_threads(extension)
+    return extension, _OneThread(*threads) if threads else contextlib.nullcontext()
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):

@@ -67,20 +67,20 @@ def _require_connected(g: WeightedGraph) -> None:
 def _eliminate(g: WeightedGraph) -> tuple[np.ndarray, float]:
     """All pairwise resistance distances, read-only, from one Cholesky solve of
     the grounded Laplacian, with their Foster residual; R has an exactly zero
-    diagonal, so -<L, R>/2 is the sum of c_e R_e. The Laplacian is first scaled
-    by the even power of two 4^-k that brings its largest degree into [1/2, 2):
-    the square roots of the Cholesky factorization keep that scaling exact, so
-    in the normal range the solve and the residual give the bits they give
-    unscaled, and only R's final rescaling by 4^-k can leave the float range (a
-    resistance beyond it reads inf, which the queries reject).
+    diagonal, so -<L, R>/2 is the sum of c_e R_e. The Laplacian is built from
+    the conductances scaled by the even power of two 4^-k that brings the
+    largest one into [1/2, 2), so no degree overflows: the square roots of the
+    Cholesky factorization keep that scaling exact, so in the normal range the
+    solve and the residual give the bits they give unscaled, and only R's final
+    rescaling by 4^-k can leave the float range (a resistance beyond it reads
+    inf, which the queries reject).
     The graph is connected, so a Cholesky breakdown (``NotPositiveDefiniteError``)
     or a resistance that is not positive between distinct vertices is a
     numerical failure, a ``LinAlgError``."""
     _require_connected(g)
-    h = laplacian(g).entries
+    k = math.frexp(max(c for _, _, c in g.edges))[1] // 2
+    h = laplacian(g, -2 * k).entries
     ground = int(np.argmax(np.diag(h)))
-    k = int(np.frexp(h[ground, ground])[1]) // 2
-    h = np.ldexp(h, -2 * k)
     keep = [v for v in range(g.n) if v != ground]
     green = np.zeros((g.n, g.n))
     green[np.ix_(keep, keep)] = solve_spd(h[np.ix_(keep, keep)], np.eye(g.n - 1))

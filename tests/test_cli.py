@@ -40,6 +40,8 @@ ZERO_RESISTANCE = cycle_file([1.0, 1e300, 1.0, 1e300])
 ZERO_RESISTANCE_SIX = cycle_file([1e300, 1.0, 1e300, 1.0, 1.0, 1.0])
 #: A cycle whose pairs three edges apart, and whose rho, lie past the float range.
 PAST_FLOAT_RANGE = cycle_file([1e-308] * 10)
+#: A cycle whose degrees, and so its Laplacian spectrum, lie past the float range; rho is 2e-308.
+DEGREE_PAST_FLOAT_RANGE = cycle_file([1e308] * 3)
 
 
 def write(tmp_path, name, text):
@@ -89,6 +91,13 @@ class TestResistanceCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["resistance", str(tmp_path / "absent.txt"), "0", "1"]) == 2
 
+    def test_degrees_past_the_float_range(self, tmp_path, capsys):
+        # 2/3 of 1/1e308 is subnormal: two spacings of 2^-1074 cover the rounding there
+        path = write(tmp_path, "g.txt", DEGREE_PAST_FLOAT_RANGE)
+        assert main(["resistance", path, "0", "1"]) == 0
+        value = float(capsys.readouterr().out.splitlines()[0])
+        assert abs(value - 2.0 / 3.0 / 1e308) <= 2 * math.ulp(0.0)
+
     @pytest.mark.parametrize("text,command", [
         (CHOLESKY_BREAKDOWN, ["rho"]),
         (ZERO_RESISTANCE, ["rho"]),
@@ -96,8 +105,9 @@ class TestResistanceCommand:
         (ZERO_RESISTANCE_SIX, ["resistance", "2", "3"]),
         (PAST_FLOAT_RANGE, ["resistance", "0", "3"]),
         (PAST_FLOAT_RANGE, ["rho"]),
+        (DEGREE_PAST_FLOAT_RANGE, ["spectrum"]),
     ], ids=["rho_cholesky_breakdown", "rho_zero_resistance", "zero_resistance", "zero_resistance_six",
-            "past_float_range", "rho_past_float_range"])
+            "past_float_range", "rho_past_float_range", "spectrum_degree_past_float_range"])
     def test_numerical_failure_exit_4(self, tmp_path, capsys, text, command):
         # connected graphs, so exit 4 (numerical failure), not 3 (disconnected),
         # and a zero resistance never reaches 1/value
@@ -118,6 +128,11 @@ class TestRhoCommand:
         path = write(tmp_path, "g.txt", text)
         assert main(["rho", path]) == 0
         assert capsys.readouterr().out.strip() == expected
+
+    def test_degrees_past_the_float_range(self, tmp_path, capsys):
+        path = write(tmp_path, "g.txt", DEGREE_PAST_FLOAT_RANGE)
+        assert main(["rho", path]) == 0
+        assert capsys.readouterr().out == "2e-308\n"
 
 
 class TestSpectrumCommand:
@@ -570,4 +585,6 @@ class TestImports:
         assert report["cycle_codes"] == [0, 0, 0]
         assert report["cycle"] == []
         assert report["graph_codes"] == [0, 0]
-        assert "scipy.linalg.lapack" in report["graph"]
+        assert "scipy.linalg._flapack" in report["graph"]
+        assert "scipy.linalg" not in report["graph"]
+        assert "scipy.linalg.lapack" not in report["graph"]

@@ -139,6 +139,22 @@ class TestLaplacian:
             assert np.array_equal(h, h.T)
             assert np.max(np.abs(h.sum(axis=1))) <= 1e-12 * np.max(np.diag(h))
 
+    def test_exponent_scales_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for n in (2, 12, 40):
+            g = random_connected_graph(rng, n)
+            h = laplacian(g).entries
+            for exponent in (-1000, -3, 0, 2, 1000):
+                assert np.array_equal(laplacian(g, exponent).entries, np.ldexp(h, exponent))
+
+    @pytest.mark.filterwarnings("error")
+    def test_degree_past_the_float_range_is_a_numerical_failure(self):
+        g = cycle(3, [1e308] * 3)
+        with pytest.raises(np.linalg.LinAlgError, match="float range"):
+            laplacian(g)
+        h = laplacian(g, -1024).entries
+        assert np.array_equal(np.diag(h), [2.0 * (1e308 * 2.0 ** -1024)] * 3)
+
     @pytest.mark.filterwarnings("error")
     def test_diagonal_overflow_rejected(self):
         # every conductance is finite, but two of them sum past the float range

@@ -1,7 +1,11 @@
 """LAPACK eigendecomposition and Cholesky SPD solves."""
 
 import contextlib
+import json
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -136,8 +140,8 @@ class TestEigenSym:
             n = a.shape[0]
             return np.zeros(n), np.eye(n), n, np.zeros(2 * n, dtype=np.int32), 1
 
-        # ohmlab.linalg looks the wrapper up on the scipy module at each call
-        monkeypatch.setattr("scipy.linalg.lapack.dsyevr", failing_dsyevr)
+        # ohmlab.linalg looks the wrapper up on the extension module at each call
+        monkeypatch.setattr(linalg._lapack()[0], "dsyevr", failing_dsyevr)
         with pytest.raises(np.linalg.LinAlgError, match="dsyevr"):
             eigen_sym(np.eye(2))
         path = tmp_path / "g.txt"
@@ -247,7 +251,7 @@ class TestSolveSpd:
         def failing_dpotrf(a, **kwargs):
             return np.array(a), -1
 
-        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", failing_dpotrf)
+        monkeypatch.setattr(linalg._lapack()[0], "dpotrf", failing_dpotrf)
         with pytest.raises(np.linalg.LinAlgError, match="dpotrf"):
             solve_spd(np.eye(2), np.eye(2))
         path = tmp_path / "g.txt"
@@ -280,16 +284,17 @@ def blas_threads():
 
 
 def watch_thread_count(monkeypatch, name, get):
-    """Wrap ``scipy.linalg.lapack.<name>``; the returned list collects the
-    thread count at each call."""
-    original = getattr(linalg._lapack()[0], name)
+    """Wrap ``<name>`` on the LAPACK extension module; the returned list
+    collects the thread count at each call."""
+    extension = linalg._lapack()[0]
+    original = getattr(extension, name)
     seen = []
 
     def watched(*args, **kwargs):
         seen.append(get())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(f"scipy.linalg.lapack.{name}", watched)
+    monkeypatch.setattr(extension, name, watched)
     return seen
 
 
@@ -320,7 +325,7 @@ class TestOneBlasThread:
 
         get, _ = blas_threads
         before = get()
-        monkeypatch.setattr("scipy.linalg.lapack.dsyevr", broken_dsyevr)
+        monkeypatch.setattr(linalg._lapack()[0], "dsyevr", broken_dsyevr)
         with pytest.raises(ValueError, match="broken wrapper"):
             eigen_sym(np.eye(2))
         assert get() == before
@@ -387,3 +392,75 @@ class TestOneBlasThread:
         assert failures == []
         assert seen and set(seen) == {1}
         assert get() == before
+
+
+def run_fresh(code: str, *args: str) -> dict:
+    """Run ``code`` in a fresh interpreter with ohmlab on its path; the JSON
+    object it prints last."""
+    env = dict(os.environ)
+    source = os.path.dirname(os.path.dirname(linalg.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                            env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestExtensionLoad:
+    """``_lapack`` loads scipy's ``_flapack`` extension without ``scipy.linalg``."""
+
+    def test_later_scipy_linalg_shares_the_loaded_extension(self, tmp_path):
+        report = run_fresh("""
+            import json, sys
+            from ohmlab import cycle, dump_graph, linalg
+            from ohmlab.cli import main
+
+            graph = sys.argv[1] + "/c3.txt"
+            with open(graph, "w") as handle:
+                handle.write(dump_graph(cycle(3, [1.0, 2.0, 3.0])))
+            code = main(["spectrum", graph])
+            loaded = "scipy.linalg" in sys.modules
+            import scipy.linalg
+            extension = linalg._lapack()[0]
+            print(json.dumps({
+                "code": code,
+                "scipy_linalg_before": loaded,
+                "same_dsyevr": scipy.linalg.lapack.dsyevr is extension.dsyevr,
+                "same_module": scipy.linalg.lapack._flapack is extension,
+            }))
+        """, str(tmp_path))
+        assert report == {"code": 0, "scipy_linalg_before": False, "same_dsyevr": True, "same_module": True}
+
+    def test_reuses_an_extension_scipy_linalg_loaded(self, tmp_path):
+        report = run_fresh("""
+            import json, sys
+            import scipy.linalg
+            from ohmlab import linalg
+
+            # nothing left to load from: only the loaded module can serve
+            scipy.__path__ = [sys.argv[1]]
+            extension = linalg._lapack()[0]
+            print(json.dumps({
+                "same_module": extension is scipy.linalg.lapack._flapack,
+                "same_dsyevr": extension.dsyevr is scipy.linalg.lapack.dsyevr,
+            }))
+        """, str(tmp_path))
+        assert report == {"same_module": True, "same_dsyevr": True}
+
+    def test_missing_extension_names_the_directory(self, tmp_path):
+        report = run_fresh("""
+            import json, sys
+            import scipy
+            from ohmlab import linalg
+
+            scipy.__path__ = [sys.argv[1]]
+            try:
+                linalg._lapack()
+            except ImportError as exc:
+                print(json.dumps({"message": str(exc), "name": exc.name}))
+        """, str(tmp_path))
+        assert os.path.join(str(tmp_path), "linalg") in report["message"]
+        assert report["name"] == "scipy.linalg._flapack"
+
+    def test_thread_scope_finds_the_openblas(self):
+        # where this fails, TestOneBlasThread skips instead of running
+        assert isinstance(linalg._lapack()[1], linalg._OneThread)

@@ -142,6 +142,17 @@ class TestFloatRange:
         with pytest.raises(np.linalg.LinAlgError, match="float range"):
             metric_check(g)
 
+    @pytest.mark.filterwarnings("error")
+    def test_degrees_past_the_float_range(self):
+        # every degree is 2e308, past the float range; every resistance is
+        # 2/3 of 1/1e308, a subnormal, so two spacings of 2^-1074 cover its rounding
+        g = cycle(3, [1e308] * 3)
+        want = float(Fraction(2, 3) / Fraction(1e308))
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            assert abs(effective_resistance(g, i, j).value - want) <= 2 * math.ulp(0.0)
+        assert abs(global_resistance(g) - 2e-308) <= 6 * math.ulp(0.0)
+        assert metric_check(g)
+
     def test_power_of_four_scaling_moves_no_bit(self):
         # Cholesky's square roots keep an even power of two exact, not an odd one
         g = random_connected_graph(np.random.default_rng(29), 12)

@@ -9,6 +9,11 @@ at equal weights: lambda_1 rho <= 6 <= lambda_2 rho.
 
 The exact solved edges of fig2, fig4 and the rho = 2 family hold rho exactly,
 on the grounded Laplacian, and the family solver matches them in rationals.
+
+On the rho = 2 family (z, b, r), z = (b + r - br)/(b + r - 1), the lemma
+4.3/4.4 directions follow: sigma2 = sigma1 there, so lambda_1,2 = sigma1 -+
+sqrt(sigma1^2 - 3 sigma1) move apart as sigma1 grows, and sigma1 rises in r
+for r >= b >= 1 and falls for 0 < r <= b <= 1.
 """
 
 import math
@@ -18,6 +23,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from ohmlab.extremal import _MONOTONICITY_CHECKS
 from ohmlab.families import (FIGURE_FAMILIES, REFERENCE_FORMULAS, _family_conductances, _last_cycle_conductances,
                              cycle_spectra)
 
@@ -116,6 +122,45 @@ def test_catalogued_references_miss_rho():
     fig2, fig4 = (sp.nsimplify(REFERENCE_FORMULAS[family](p), rational=True) for family in ("fig2", "fig4"))
     assert sp.cancel(_grounded_rho([fig2, sp.Rational(3, 2), p]) - (2 + 2 * p * (p - 3) / (p + 3) ** 2)) == 0
     assert _grounded_rho([fig4, 1 / p, p, 1]) == 4
+
+
+def test_rho2_family_has_sigma2_equal_sigma1():
+    z = RHO2_FORM
+    assert sp.cancel((z * b + b * r + r * z) - (z + b + r)) == 0
+
+
+def test_rho2_family_eigenvalues_depend_on_sigma1_alone():
+    z = RHO2_FORM
+    s1 = z + b + r
+    laplacian = sp.Matrix([[z + r, -z, -r], [-z, z + b, -b], [-r, -b, b + r]])
+    char = (lam * sp.eye(3) - laplacian).det()
+    assert sp.cancel(char - lam * (lam**2 - 2 * s1 * lam + 3 * s1)) == 0
+    sigma = sp.symbols("sigma1", positive=True)
+    for root in (sigma - sp.sqrt(sigma**2 - 3 * sigma), sigma + sp.sqrt(sigma**2 - 3 * sigma)):
+        assert sp.expand(root**2 - 2 * sigma * root + 3 * sigma) == 0
+    # d(lambda_1,2)/d(sigma1) = 1 -+ (2 sigma1 - 3) / (2 sqrt(sigma1^2 - 3 sigma1)), and the
+    # fraction's square exceeds 1 by 9 / (4 (sigma1^2 - 3 sigma1)): lambda_1 falls, lambda_2 rises
+    assert sp.expand((2 * sigma - 3) ** 2 - 4 * (sigma**2 - 3 * sigma)) == 9
+
+
+def test_rho2_family_sigma1_direction_in_each_regime():
+    numerator = (b + r - 1) ** 2 - (b**2 - b + 1)
+    assert sp.cancel(sp.diff(RHO2_FORM + b + r, r) - numerator / (b + r - 1) ** 2) == 0
+    # r >= b >= 1: with b = 1 + t and r = b + u (t, u >= 0), both differences
+    # are polynomials in t and u with non-negative coefficients
+    t, u = sp.symbols("t u", nonnegative=True)
+    for difference in (numerator - 3 * b * (b - 1), 3 * b * (b - 1)):
+        poly = sp.Poly(sp.expand(difference.subs(r, b + u).subs(b, 1 + t)), t, u)
+        assert all(coefficient >= 0 for coefficient in poly.coeffs())
+    # 0 < r <= b <= 1: the numerator is convex in r, and at r = 0 and r = b it
+    # is -b and 3b(b - 1), both <= 0
+    assert sp.diff(numerator, r, 2) == 2
+    assert sp.expand(numerator.subs(r, 0)) == -b
+    assert sp.expand(numerator.subs(r, b) - 3 * b * (b - 1)) == 0
+    # sigma1 rises in the upper regime and falls in the lower one; lambda_2
+    # (index 2) moves with sigma1 and lambda_1 (index 1) against it
+    for check, (index, sign, regime) in _MONOTONICITY_CHECKS.items():
+        assert sign == (1 if regime == "upper" else -1) * (1 if index == 2 else -1), check
 
 
 def _assert_within_conditioned_ulps(solved, exact, kappa, args):
