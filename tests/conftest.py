@@ -1,6 +1,7 @@
 """Shared corpus builders and call counters for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,3 +44,19 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def series_parallel_resistances(conductances):
+    """All-pairs resistances of the cycle of ``conductances`` (edge k joins
+    vertices k and k+1 mod n), exact in rationals and rounded once: the two
+    arcs between i < j hold a and S - a of the series sum S, so
+    R_ij = a (S - a) / S."""
+    r = [1 / Fraction(c) for c in conductances]
+    total = sum(r)
+    n = len(r)
+    out = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            arc = sum(r[i:j])
+            out[i][j] = out[j][i] = float(arc * (total - arc) / total)
+    return out

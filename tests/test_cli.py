@@ -19,6 +19,8 @@ from ohmlab import (DISPUTED_REFERENCES, FIGURE_FAMILIES, cycle_rho_closed_form,
                     scan_family)
 from ohmlab.cli import build_parser, main
 
+from conftest import series_parallel_resistances
+
 UNIT_THREE = "n 3\n0 1 1\n0 2 1\n1 2 1\n"
 UNIT_FOUR = "n 4\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n"
 UNIT_SIX = "n 6\n" + "".join(f"{k} {(k + 1) % 6} 1\n" for k in range(6))
@@ -33,11 +35,15 @@ def cycle_file(conductances):
     return f"n {n}\n" + "".join(f"{k} {(k + 1) % n} {c!r}\n" for k, c in enumerate(conductances))
 
 
-#: A connected 6-cycle whose grounded Cholesky factorization breaks down.
-CHOLESKY_BREAKDOWN = cycle_file([1.0, 1e16, 1.0, 1e16, 1.0, 1e16])
-#: Cycles whose computed resistance matrix holds a zero (true value 1e-300) between distinct vertices.
-ZERO_RESISTANCE = cycle_file([1.0, 1e300, 1.0, 1e300])
-ZERO_RESISTANCE_SIX = cycle_file([1e300, 1.0, 1e300, 1.0, 1.0, 1.0])
+#: Cycles at conductance ratios to 1e300, which the arc route resolves exactly.
+EXTREME_CYCLES = ([1.0, 1e16, 1.0, 1e16, 1.0, 1e16], [1.0, 1e300, 1.0, 1e300],
+                  [1e300, 1.0, 1e300, 1.0, 1.0, 1.0])
+#: The first of them plus a unit chord: connected, but its grounded Cholesky factorization breaks down.
+CHOLESKY_BREAKDOWN = cycle_file(EXTREME_CYCLES[0]) + "0 3 1.0\n"
+#: The others plus a unit chord, whose computed resistance matrix holds a zero
+#: (true value about 1e-300) between distinct vertices.
+ZERO_RESISTANCE = cycle_file(EXTREME_CYCLES[1]) + "0 2 1.0\n"
+ZERO_RESISTANCE_SIX = cycle_file(EXTREME_CYCLES[2]) + "0 3 1.0\n"
 #: A cycle whose pairs three edges apart, and whose rho, lie past the float range.
 PAST_FLOAT_RANGE = cycle_file([1e-308] * 10)
 #: A cycle whose degrees, and so its Laplacian spectrum, lie past the float range; rho is 2e-308.
@@ -97,6 +103,21 @@ class TestResistanceCommand:
         assert main(["resistance", path, "0", "1"]) == 0
         value = float(capsys.readouterr().out.splitlines()[0])
         assert abs(value - 2.0 / 3.0 / 1e308) <= 2 * math.ulp(0.0)
+
+    @pytest.mark.parametrize("conductances", EXTREME_CYCLES, ids=["ratio_1e16", "ratio_1e300", "ratio_1e300_six"])
+    def test_extreme_cycles_exit_0(self, tmp_path, capsys, conductances):
+        # the cycles of the Cholesky failures below, without their chords
+        path = write(tmp_path, "g.txt", cycle_file(conductances))
+        n = len(conductances)
+        want = series_parallel_resistances(conductances)
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert main(["resistance", path, str(i), str(j)]) == 0
+                value_line, energy_line = capsys.readouterr().out.splitlines()
+                assert float(value_line) == pytest.approx(want[i][j], rel=1e-14)
+                assert float(energy_line.split()[1]) == pytest.approx(1.0 / want[i][j], rel=1e-14)
+        assert main(["rho", path]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(cycle_rho_closed_form(conductances), rel=1e-14)
 
     @pytest.mark.parametrize("text,command", [
         (CHOLESKY_BREAKDOWN, ["rho"]),
@@ -556,14 +577,19 @@ IMPORT_PROBE = textwrap.dedent("""
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
     tmp = sys.argv[1]
-    graph = os.path.join(tmp, "c3.txt")
-    with open(graph, "w") as handle:
+    cycle_graph = os.path.join(tmp, "c3.txt")
+    with open(cycle_graph, "w") as handle:
         handle.write("n 3\\n0 1 1\\n0 2 2\\n1 2 3\\n")
+    graph = os.path.join(tmp, "c4_chord.txt")
+    with open(graph, "w") as handle:
+        handle.write("n 4\\n0 1 1\\n1 2 2\\n2 3 3\\n0 3 4\\n0 2 1\\n")
     report = {"import": scipy_modules(), "parsers_at_import": ohmlab.cli.build_parser.cache_info().currsize}
     report["cycle_codes"] = [
         main(["verify", "1", "2", "3"]),
         main(["figure", "fig1", "0.6", "1.9", "5", "--out", os.path.join(tmp, "fig1.csv")]),
         main(["search", "3", "--restarts", "2"]),
+        main(["rho", cycle_graph]),
+        main(["resistance", cycle_graph, "0", "2"]),
     ]
     report["cycle"] = scipy_modules()
     report["graph_codes"] = [main(["spectrum", graph]), main(["rho", graph])]
@@ -582,9 +608,9 @@ class TestImports:
         report = json.loads(result.stdout.splitlines()[-1])
         assert report["import"] == []
         assert report["parsers_at_import"] == 0
-        assert report["cycle_codes"] == [0, 0, 0]
+        # rho and resistance on a cycle file take the arc route, which needs no LAPACK
+        assert report["cycle_codes"] == [0, 0, 0, 0, 0]
         assert report["cycle"] == []
         assert report["graph_codes"] == [0, 0]
-        assert "scipy.linalg._flapack" in report["graph"]
+        assert [m for m in report["graph"] if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
         assert "scipy.linalg" not in report["graph"]
-        assert "scipy.linalg.lapack" not in report["graph"]

@@ -255,7 +255,8 @@ class TestSolveSpd:
         with pytest.raises(np.linalg.LinAlgError, match="dpotrf"):
             solve_spd(np.eye(2), np.eye(2))
         path = tmp_path / "g.txt"
-        path.write_text(dump_graph(cycle(3, [1.0, 2.0, 3.0])))
+        # a cycle plus a chord: cycles take the arc route, which runs no LAPACK
+        path.write_text(dump_graph(build_graph(4, cycle(4, [1.0, 2.0, 3.0, 4.0]).edges + ((0, 2, 1.0),))))
         assert main(["rho", str(path)]) == 4
 
     def test_cholesky_factor_shape(self):
@@ -340,13 +341,13 @@ class TestOneBlasThread:
 
         scoped = results()
         monkeypatch.setattr(linalg, "_openblas_threads", lambda lapack: None)
-        linalg._lapack.cache_clear()
+        linalg._load_lapack.cache_clear()
         try:
             assert isinstance(linalg._lapack()[1], contextlib.nullcontext)
             unscoped = results()
         finally:
             # the next caller probes the library again, once the patch is undone
-            linalg._lapack.cache_clear()
+            linalg._load_lapack.cache_clear()
         for mine, theirs in zip(scoped, unscoped):
             assert np.array_equal(mine, theirs)
 
@@ -460,6 +461,42 @@ class TestExtensionLoad:
         """, str(tmp_path))
         assert os.path.join(str(tmp_path), "linalg") in report["message"]
         assert report["name"] == "scipy.linalg._flapack"
+
+    def test_racing_first_callers_share_one_scope(self):
+        # each racer got its own scope without the load lock, and overlapping
+        # scopes could save each other's count of 1 and leave it behind
+        report = run_fresh("""
+            import json, sys, threading
+            import numpy as np
+            import scipy.linalg
+            from ohmlab import eigen_sym, linalg
+
+            get, set_ = linalg._openblas_threads(scipy.linalg._flapack)
+            set_(2)
+            h = np.diag(np.arange(80.0)) - np.ones((80, 80))
+            barrier = threading.Barrier(4)
+            scopes = []
+
+            def race():
+                barrier.wait()
+                scopes.append(linalg._lapack()[1])
+                for _ in range(3):
+                    eigen_sym(h)
+
+            sys.setswitchinterval(1e-6)
+            workers = [threading.Thread(target=race) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            print(json.dumps({
+                "finished": not any(worker.is_alive() for worker in workers),
+                "scopes": len({id(scope) for scope in scopes}),
+                "one_thread": isinstance(scopes[0], linalg._OneThread),
+                "threads_after": get(),
+            }))
+        """)
+        assert report == {"finished": True, "scopes": 1, "one_thread": True, "threads_after": 2}
 
     def test_thread_scope_finds_the_openblas(self):
         # where this fails, TestOneBlasThread skips instead of running

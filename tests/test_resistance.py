@@ -28,26 +28,17 @@ import ohmlab.resistance
 from ohmlab.linalg import NotPositiveDefiniteError
 from ohmlab.resistance import FOSTER_RESIDUAL_LIMIT, _ELIMINATIONS, _resistance_matrix
 
-from conftest import count_calls, log_uniform, random_connected_graph, random_cycle
+from conftest import count_calls, log_uniform, random_connected_graph, random_cycle, series_parallel_resistances
 
 
 def unit_cycle(n):
     return cycle(n, [1.0] * n)
 
 
-def series_parallel_resistances(conductances):
-    """All-pairs resistances of a cycle, exact in rationals and rounded once:
-    the two arcs between i < j hold a and S - a of the series sum S, so
-    R_ij = a (S - a) / S."""
-    r = [1 / Fraction(c) for c in conductances]
-    total = sum(r)
-    n = len(r)
-    out = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            arc = sum(r[i:j])
-            out[i][j] = out[j][i] = float(arc * (total - arc) / total)
-    return out
+def chorded(conductances, i, j):
+    """The cycle of ``conductances`` plus a unit chord between vertices i and j,
+    a graph that takes the Cholesky route."""
+    return build_graph(len(conductances), cycle(len(conductances), list(conductances)).edges + ((i, j, 1.0),))
 
 
 def edge_sum_residual(g):
@@ -201,10 +192,10 @@ class TestOneEliminationPerGraph:
     @pytest.mark.parametrize("g, error", [
         (build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]), DisconnectedGraphError),
         # connected, but the grounded Cholesky factorization breaks down
-        (cycle(6, [1.0, 1e16, 1.0, 1e16, 1.0, 1e16]), NotPositiveDefiniteError),
+        (chorded([1.0, 1e16, 1.0, 1e16, 1.0, 1e16], 0, 3), NotPositiveDefiniteError),
         # connected, factorized, but R_12 comes out as exactly 0 (true value 1e-300)
-        (cycle(4, [1.0, 1e300, 1.0, 1e300]), np.linalg.LinAlgError),
-        (cycle(6, [1e300, 1.0, 1e300, 1.0, 1.0, 1.0]), np.linalg.LinAlgError),
+        (chorded([1.0, 1e300, 1.0, 1e300], 0, 2), np.linalg.LinAlgError),
+        (chorded([1e300, 1.0, 1e300, 1.0, 1.0, 1.0], 0, 3), np.linalg.LinAlgError),
     ], ids=["disconnected", "cholesky_breakdown", "zero_resistance", "zero_resistance_six"])
     def test_failed_elimination_raises_on_every_query(self, g, error):
         for _ in range(2):
@@ -217,8 +208,8 @@ class TestOneEliminationPerGraph:
             assert id(g) not in _ELIMINATIONS
 
     def test_ill_conditioning_warns_on_every_query(self):
-        # off by ~1e-8 relative; the residual (2.3e-9) says so
-        g = cycle(6, [1.0, 1e8, 1.0, 1e8, 1.0, 1e8])
+        # off by 2.4e-8 relative; the residual (8.3e-9) says so
+        g = chorded([1.0, 1e8, 1.0, 1e8, 1.0, 1e8], 0, 3)
         for _ in range(2):
             with pytest.warns(IllConditionedWarning):
                 report = effective_resistance(g, 0, 1)
@@ -227,6 +218,111 @@ class TestOneEliminationPerGraph:
                 global_resistance(g)
             with pytest.warns(IllConditionedWarning):
                 metric_check(g)
+
+
+def relabelled_cycle(conductances, labels):
+    """The cycle whose k-th edge, of conductance ``conductances[k]``, joins the
+    vertices ``labels[k]`` and ``labels[k + 1]`` (mod n)."""
+    n = len(conductances)
+    return build_graph(n, [(int(labels[k]), int(labels[(k + 1) % n]), c) for k, c in enumerate(conductances)])
+
+
+class TestArcRoute:
+    """A cycle through all its vertices takes the arc route: no Laplacian, no LAPACK."""
+
+    def test_every_pair_within_a_few_n_eps(self):
+        # every arc is a sum of positive terms, so each pair is right to about 1.5 n eps
+        rng = np.random.default_rng(18)
+        eps = np.finfo(float).eps
+        corpus = [list(c) for c in TABLE_CYCLES] + [[1e308] * 3, [1e-300, 1e-300, 4e-300]]
+        for n in range(3, 21):
+            decades = rng.uniform(0.0, 300.0, 3)
+            corpus += [list(10.0 ** rng.uniform(-d / 2, d / 2, n)) for d in decades]
+        for k, conductances in enumerate(corpus):
+            n = len(conductances)
+            labels = np.arange(n) if k % 2 == 0 else rng.permutation(n)
+            g = relabelled_cycle(conductances, labels)
+            want = series_parallel_resistances(conductances)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r, residual = _resistance_matrix(g)
+            assert residual <= 2 * n * eps
+            for p in range(n):
+                for q in range(p + 1, n):
+                    value = r[labels[p], labels[q]]
+                    assert value == r[labels[q], labels[p]]
+                    if want[p][q] >= np.finfo(float).tiny:
+                        assert abs(value - want[p][q]) <= 2 * n * eps * want[p][q], (conductances, p, q)
+                    else:  # a subnormal true value: two spacings of 2^-1074 cover the rounding
+                        assert abs(value - want[p][q]) <= 2 * math.ulp(0.0), (conductances, p, q)
+
+    def test_routes_agree_on_mild_cycles(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        cycles = [random_cycle(rng, n, 1.0, 1e2) for n in range(3, 81)]
+        arcs = [ohmlab.resistance._eliminate(g) for g in cycles]
+        monkeypatch.setattr(ohmlab.resistance, "_cycle_walk", lambda g: None)
+        for g, (r, residual) in zip(cycles, arcs):
+            grounded, grounded_residual = ohmlab.resistance._eliminate(g)
+            mask = ~np.eye(g.n, dtype=bool)
+            assert np.all(np.abs(r - grounded)[mask] <= 1e-12 * grounded[mask]), g.n
+            assert abs(residual - grounded_residual) <= 1e-12
+
+    def test_one_walk_and_no_lapack_per_cycle(self, monkeypatch):
+        g = random_cycle(np.random.default_rng(20), 40)
+        counts = count_calls(monkeypatch, ohmlab.resistance,
+                             ("_cycle_walk", "_arc_resistances", "is_connected", "laplacian", "solve_spd"))
+        values = [effective_resistance(g, i, j).value for i in range(g.n) for j in range(i + 1, g.n)]
+        global_resistance(g)
+        assert metric_check(g)
+        assert len(values) == 780
+        assert counts == {"_cycle_walk": 1, "_arc_resistances": 1, "is_connected": 0, "laplacian": 0,
+                          "solve_spd": 0}
+
+    def test_power_of_two_scaling_moves_no_bit(self):
+        g = random_cycle(np.random.default_rng(21), 17)
+        r, residual = _resistance_matrix(g)
+        for exponent in (-1000, -300, 1, 300, 1000):
+            scaled, scaled_residual = _resistance_matrix(scale(g, 2.0 ** exponent))
+            assert np.array_equal(scaled, np.ldexp(r, -exponent))
+            assert scaled_residual == residual
+
+    @pytest.mark.parametrize("g", [
+        build_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]),
+        build_graph(7, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0),
+                        (3, 6, 1.0)]),
+    ], ids=["two_triangles", "triangle_and_square"])
+    def test_disjoint_cycles_are_disconnected(self, g):
+        # every vertex has two neighbours and there are n edges, but the walk from 0 misses some
+        assert ohmlab.resistance._cycle_walk(g) is None
+        with pytest.raises(DisconnectedGraphError):
+            effective_resistance(g, 0, 1)
+        with pytest.raises(DisconnectedGraphError):
+            global_resistance(g)
+
+    @pytest.mark.parametrize("g", [
+        build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)]),  # triangle with a tail
+        build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]),  # path
+        build_graph(2, [(0, 1, 1.0)]),
+        chorded([1.0] * 5, 0, 2),
+    ], ids=["triangle_with_tail", "path", "one_edge", "chorded_five_cycle"])
+    def test_other_graphs_take_the_cholesky_route(self, g):
+        assert ohmlab.resistance._cycle_walk(g) is None
+
+    @pytest.mark.parametrize("conductances, want", [
+        ([1e-310, 1.0, 1.0], [(0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)]),
+        ([5e-324, 1.0, 1.0, 1.0], [(0, 1, 3.0), (1, 2, 1.0), (0, 3, 1.0)]),
+    ])
+    def test_a_subnormal_edge_takes_the_cholesky_route(self, monkeypatch, conductances, want):
+        # scaled by the largest conductance, the subnormal edge's resistance is
+        # inf; the grounded elimination resolves these cycles exactly
+        g = cycle(len(conductances), conductances)
+        assert ohmlab.resistance._arc_resistances(*ohmlab.resistance._cycle_walk(g)) is None
+        r, residual = ohmlab.resistance._eliminate(g)
+        monkeypatch.setattr(ohmlab.resistance, "_cycle_walk", lambda g: None)
+        grounded, grounded_residual = ohmlab.resistance._eliminate(g)
+        assert np.array_equal(r, grounded) and residual == grounded_residual
+        for i, j, value in want:
+            assert r[i, j] == value
 
 
 def benchmark_kind_graphs(seed):
@@ -311,9 +407,11 @@ def foster_corpus(seed=14, count=60):
 
 
 class TestFosterCorpusGate:
-    def test_warning_separates_wrong_from_exact(self):
+    def test_warning_separates_wrong_from_exact(self, monkeypatch):
         # the residual is necessary, not sufficient: results between 1e-12 and
-        # 1e-9 off may go either way, but a wrong one always warns, an exact one never
+        # 1e-9 off may go either way, but a wrong one always warns, an exact one never;
+        # the corpus cycles go to the Cholesky route too, as every graph did before the arc route
+        monkeypatch.setattr(ohmlab.resistance, "_cycle_walk", lambda g: None)
         wrong = exact = failed = 0
         for g, decades in foster_corpus():
             with warnings.catch_warnings(record=True) as caught:
@@ -336,6 +434,20 @@ class TestFosterCorpusGate:
                 assert not warned, (g.edges, error)
         # the corpus exercises all three outcomes
         assert wrong >= 5 and exact >= 30 and failed >= 2
+
+    def test_cycles_on_the_arc_route_are_exact_and_silent(self):
+        # the corpus cycles the Cholesky route gets wrong, or fails on, included
+        cycles = [(g, decades) for g, decades in foster_corpus() if ohmlab.resistance._cycle_walk(g) is not None]
+        assert len(cycles) >= 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, decades in cycles:
+                r, _ = _resistance_matrix(g)
+                want = mpmath_resistances(g, int(40 + 2 * decades))
+                error = max(float(abs(r[a, b] - want[a][b]) / want[a][b])
+                            for a in range(g.n) for b in range(g.n) if a != b)
+                assert error < 1e-12, (g.edges, error)
+
 
 class TestOracle:
     def test_unit_three_cycle(self):
