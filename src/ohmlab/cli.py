@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
+from .cycles import cycle_rhos
 from .extremal import search_counterexample, unit_cycle_baseline, verify_theorem
 from .families import (DISPUTED_REFERENCES, FIGURE_FAMILIES, REFERENCE_FORMULAS, InfeasibleFamilyError,
-                       _feasible_grid, cycle_spectra)
+                       feasible_grid)
 from .graphs import GraphError, GraphFormatError, laplacian, load_graph
 from .linalg import eigen_sym
 from .resistance import effective_resistance, global_resistance
@@ -77,8 +78,8 @@ def _cmd_verify(args) -> int:
 
 def _reference_columns(family: str, grid) -> np.ndarray:
     """(m, 2) reference conductance of the solved edge at each grid parameter and its
-    rho error, by one :func:`cycle_spectra` call; the error is NaN where the reference
-    is not positive and finite."""
+    rho error, by one :func:`~ohmlab.cycles.cycle_rhos` call; the error is NaN where
+    the reference is not positive and finite."""
     spec = FIGURE_FAMILIES[family]
     # overflow gives inf or NaN silently, as on Python floats; no member of a
     # disputed family sits on a zero denominator
@@ -88,7 +89,7 @@ def _reference_columns(family: str, grid) -> np.ndarray:
     cycles[:, spec.solved_edge] = references
     usable = (references > 0.0) & (references < np.inf)
     errors = np.full(len(references), np.nan)
-    errors[usable] = cycle_spectra(cycles[usable])[1] - spec.target_rho
+    errors[usable] = cycle_rhos(cycles[usable]) - spec.target_rho
     return np.column_stack((references, errors))
 
 
@@ -98,7 +99,7 @@ def _cmd_figure(args) -> int:
         print("figure: need finite lo < hi and steps >= 1", file=sys.stderr)
         return 2
     spec = FIGURE_FAMILIES[args.family]
-    grid = _feasible_grid(args.family, np.linspace(args.lo, args.hi, args.steps))
+    grid = feasible_grid(args.family, np.linspace(args.lo, args.hi, args.steps))
     with_reference = args.family in DISPUTED_REFERENCES
     if spec.n == 3:
         columns = _THREE_CYCLE_PAIR_ORDER

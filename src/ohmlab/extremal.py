@@ -6,9 +6,11 @@ from above and below respectively, with equality exactly at equal weights.
 This module verifies that bound, realizes the monotonicity statements behind
 it as numerical scans, and searches larger cycles for counterexamples to the
 analogous extremality of equal weights using scale-free Nelder-Mead runs. The
-search advances every restart and both directions together. Spectra and
-global resistances come from :func:`~ohmlab.families.cycle_spectra`, one call
-per theorem check, monotonicity grid or batch of search points.
+search advances every restart and both directions together. This module owns
+the verdicts, the scans and the Nelder-Mead driver; the numbers come from
+:mod:`ohmlab.cycles`: one :func:`~ohmlab.cycles.cycle_spectra` call per
+theorem check or monotonicity grid, and one
+:func:`~ohmlab.cycles.product_evaluator` call per batch of search points.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .cycles import cycle_spectra, last_cycle_conductances, product_evaluator
 # scan_family is defined beside figure_family, whose realization it shares
-from .families import THREE_CYCLE_TARGET_RHO, _last_cycle_conductances, cycle_spectra, scan_family
+from .families import THREE_CYCLE_TARGET_RHO, scan_family
 from .graphs import GraphError
 
 THREE_CYCLE_PRODUCT_BOUND = 6.0
@@ -180,7 +183,7 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
     track the smallest positive eigenvalue with the opposite directions.
     Grid points where no positive third conductance exists are skipped; a
     non-finite grid value raises ``ValueError``. The whole grid takes one
-    solve and one :func:`~ohmlab.families.cycle_spectra` call.
+    solve and one :func:`~ohmlab.cycles.cycle_spectra` call.
     """
     try:
         eig_index, sign, regime = _MONOTONICITY_CHECKS[check]
@@ -203,7 +206,7 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
         if not ((0.0 < grid) & (grid <= b)).all():
             raise ValueError(f"{check} scans 0 < r <= b = {b!r}; grid goes outside")
     known = np.column_stack((np.full_like(grid, b), grid))
-    free, _ = _last_cycle_conductances(known, THREE_CYCLE_TARGET_RHO)
+    free, _ = last_cycle_conductances(known, THREE_CYCLE_TARGET_RHO)
     rows = np.column_stack((free, known))[free > 0.0]
     if len(rows) < 2:
         raise ValueError(f"fewer than two feasible grid points for {check} at b={b!r}")
@@ -211,42 +214,6 @@ def monotonicity_check(check: str, b: float, r_grid: Sequence[float],
     margins = sign * np.diff(eigenvalues[:, eig_index])
     worst = float(margins.min())
     return MonotonicityResult(ok=bool(worst >= -tol), worst_margin=worst)
-
-
-def _product_evaluator(n: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(lambda_1 rho, lambda_max rho) of n-cycles with log-conductances (0, x...).
-
-    Takes an (m, n-1) stack of points and returns two length-m arrays. Pinning
-    the first coordinate removes the scale gauge: the products are invariant
-    under global conductance scaling. The whole stack goes through one
-    :func:`~ohmlab.families.cycle_spectra` call. Rows whose conductances would
-    overflow or underflow, and rows LAPACK fails on, yield (nan, nan).
-    """
-
-    def products(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = len(x)
-        # exp stays finite and positive on |log| <= 700; NaN fails too, the pinned 0 never
-        invalid = (~(np.abs(x).max(axis=1) <= 700.0)).nonzero()[0]
-        logs = np.zeros((m, n))
-        logs[:, 1:] = x
-        if invalid.size:
-            logs[invalid] = 0.0
-        conducts = np.exp(logs)
-        try:
-            w, rho = cycle_spectra(conducts)
-        except np.linalg.LinAlgError:
-            # numpy fails the whole stack when one matrix fails; keep the others
-            w, rho = np.full((m, n), math.nan), np.full(m, math.nan)
-            for row in range(m):
-                try:
-                    w[row:row + 1], rho[row:row + 1] = cycle_spectra(conducts[row:row + 1])
-                except np.linalg.LinAlgError:
-                    pass
-        if invalid.size:
-            rho[invalid] = math.nan
-        return w[:, 1] * rho, w[:, -1] * rho
-
-    return products
 
 
 class _LaneResults(NamedTuple):
@@ -370,7 +337,7 @@ def search_counterexample(n: int, restarts: int = 200, iters_per_restart: int = 
     base = unit_cycle_baseline(n)
     baseline_low = base.lambda1 * base.rho
     baseline_high = base.lambda_max * base.rho
-    products = _product_evaluator(n)
+    products = product_evaluator(n)
     maximize = np.arange(2 * restarts) % 2 == 0
 
     def objective(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:

@@ -8,28 +8,28 @@ conductance; the catalogued closed-form expressions for families ``fig2`` and
 curves so the discrepancy stays visible (see ``reference_conductance``).
 
 Every conductance tuple, 3-cycles included, is in cycle edge order
-(c01, c12, ..., c_{n-1,0}), the order of :func:`~ohmlab.graphs.cycle`. One
-solver gives the free edge of a whole grid of family points at once (its
-one-row case is :func:`solve_last_cycle_conductance`), and one evaluator,
-:func:`cycle_spectra`, the spectra and global resistances of a stack of such
-cycles to every family point, scan, theorem check and search step. Both take
-S and E from the one series sum, :func:`~ohmlab.resistance.resistance_sums`.
+(c01, c12, ..., c_{n-1,0}), the order of :func:`~ohmlab.graphs.cycle`. This
+module owns the families, their points and their solver wrappers. The numbers
+come from :mod:`ohmlab.cycles`: one solve,
+:func:`~ohmlab.cycles.last_cycle_conductances`, gives the free edge of a whole
+grid of family points (its one-row case is
+:func:`solve_last_cycle_conductance`), and one
+:func:`~ohmlab.cycles.cycle_spectra` call the spectra and global resistances
+of the members.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .resistance import resistance_sums
+from .cycles import DENOMINATOR_FLOOR, cycle_spectra, last_cycle_conductances
 
 THREE_CYCLE_TARGET_RHO = 2.0
 FOUR_CYCLE_TARGET_RHO = 3.0
-_DENOMINATOR_FLOOR = 1e-14
 
 
 class InfeasibleFamilyError(ValueError):
@@ -79,38 +79,6 @@ class ClosedFormEigenvalues(NamedTuple):
 
     values: tuple[float, float]
     ordered: tuple[float, float]
-
-
-@functools.cache
-def _cycle_positions(n: int) -> tuple[np.ndarray, ...]:
-    """Flat row-major positions of H[k, k+1], H[k+1, k], H[k, k], and each vertex's predecessor."""
-    indices = np.arange(n)
-    successors = np.roll(indices, -1)
-    return indices * n + successors, successors * n + indices, indices * (n + 1), np.roll(indices, 1)
-
-
-def cycle_spectra(conductances) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian eigenvalues and global resistances of a stack of n-cycles.
-
-    Takes an (m, n) array of positive conductances, one cycle per row in edge
-    order. Returns the (m, n) ascending eigenvalues, from one
-    ``numpy.linalg.eigvalsh`` call on the stacked Laplacians, and the (m,)
-    global resistances as the cancellation-free 2E/S on the sums of
-    :func:`~ohmlab.resistance.resistance_sums`. An overflowing diagonal raises
-    ``ValueError``; ``numpy.linalg.LinAlgError`` propagates.
-    """
-    c = np.asarray(conductances, dtype=float)
-    m, n = c.shape
-    upper, lower, diagonal, predecessors = _cycle_positions(n)
-    degrees = c + c[:, predecessors]
-    if not np.isfinite(degrees).all():
-        raise ValueError("matrix entries must be finite")
-    h = np.zeros((m, n * n))
-    h[:, upper] = h[:, lower] = -c
-    h[:, diagonal] = degrees
-    eigenvalues = np.linalg.eigvalsh(h.reshape(m, n, n))
-    total, pairs, exponents = resistance_sums(c)
-    return eigenvalues, np.ldexp(2.0 * pairs / total, exponents)
 
 
 class _FamilyGrid(NamedTuple):
@@ -202,11 +170,11 @@ def solve_last_cycle_conductance(known: Sequence[float], target_rho: float) -> f
         raise InfeasibleFamilyError(f"known conductances must all be positive and finite, got {values}")
     if not target_rho > 0.0:
         raise InfeasibleFamilyError(f"target rho must be positive, got {target_rho!r}")
-    (free,), diagnostics = _last_cycle_conductances([values], target_rho)
+    (free,), diagnostics = last_cycle_conductances([values], target_rho)
     if not math.isnan(free):
         return float(free)
     t, denominator, s, e, unit = (float(x[0]) for x in diagnostics)
-    if abs(denominator) <= _DENOMINATOR_FLOOR:
+    if abs(denominator) <= DENOMINATOR_FLOOR:
         raise InfeasibleFamilyError(f"infeasible known edges for target rho: denominator {denominator / unit!r} "
                                     f"vanishes (S={s / unit!r}, rho={target_rho!r})")
     if t > 0.0:
@@ -214,26 +182,6 @@ def solve_last_cycle_conductance(known: Sequence[float], target_rho: float) -> f
                                     f"positive but its conductance overflows (S={s / unit!r}, rho={target_rho!r})")
     raise InfeasibleFamilyError(f"infeasible known edges for target rho: solved resistance {t / unit!r} is not "
                                 f"positive (S={s / unit!r}, E={e / unit / unit!r}, rho={target_rho!r})")
-
-
-def _last_cycle_conductances(known, target_rho: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Free conductance of each row of an (m, n-1) array of known cycle conductances,
-    NaN where none is positive and finite, and the (t, denominator, S, E, unit) behind it.
-
-    S, E, rho and so t are scaled by the power of two ``unit`` of
-    :func:`~ohmlab.resistance.resistance_sums`, which makes the denominator
-    floor relative to S. A row with a known value that is not positive and
-    finite gives a meaningless value; callers reject such rows.
-    """
-    # an infeasible row may overflow or divide by zero; it becomes NaN
-    with np.errstate(all="ignore"):
-        s, e, exponents = resistance_sums(known)
-        unit = np.ldexp(1.0, -exponents)
-        rho = target_rho * unit
-        denominator = 2.0 * s - rho
-        t = (rho * s - 2.0 * e) / denominator
-        free = unit / np.where((np.abs(denominator) > _DENOMINATOR_FLOOR) & (t > 0.0), t, math.nan)
-    return np.where(free < math.inf, free, math.nan), (t, denominator, s, e, unit)
 
 
 # Edge k joins vertices k and k+1 (mod n): 3-cycles (0: c01, 1: c12, 2: c02)
@@ -289,7 +237,7 @@ def _family_conductances(family: str, params: np.ndarray) -> tuple[np.ndarray, n
         for idx, formula in spec.fixed:
             conductances[:, idx] = formula(params)
     known = np.delete(conductances, spec.solved_edge, axis=1)
-    conductances[:, spec.solved_edge], _ = _last_cycle_conductances(known, spec.target_rho)
+    conductances[:, spec.solved_edge], _ = last_cycle_conductances(known, spec.target_rho)
     return conductances, ((0.0 < conductances) & (conductances < math.inf)).all(axis=1)
 
 
@@ -316,7 +264,7 @@ def figure_family(family: str, param: float) -> CyclePoint:
     return _realize(family, _spectra_of(np.array([param]), conductances[None]))[0]
 
 
-def _feasible_grid(family: str, param_grid: Iterable[float]) -> _FamilyGrid:
+def feasible_grid(family: str, param_grid: Iterable[float]) -> _FamilyGrid:
     """The feasible points of a family over a parameter grid, ascending in the parameter.
 
     NaN and infeasible parameters are dropped; if none is left a ValueError is
@@ -341,4 +289,4 @@ def scan_family(family: str, param_grid: Sequence[float]) -> list[CyclePoint]:
     returned row count. One solve gives the free edge of every point, and one
     :func:`cycle_spectra` call realizes all feasible points together.
     """
-    return _realize(family, _feasible_grid(family, param_grid))
+    return _realize(family, feasible_grid(family, param_grid))

@@ -23,7 +23,12 @@ the entry dies with its graph. The one accuracy signal is Foster's identity,
 sum over edges of c_e R_e = n - 1 (Foster 1949; Tetali 1991): necessary, not
 sufficient, since errors on different edges can cancel and it constrains no
 non-adjacent pair. A grounded LU solve per pair provides a second route for
-tests, and series-parallel closed forms cover cycles.
+tests.
+
+This module holds only code on graph objects, the arc route for cycle graphs
+included. Cycles given by their conductances, one or a stack of them, are
+:mod:`ohmlab.cycles`': the series sums, the closed-form global resistance and
+the spectra.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -280,40 +284,6 @@ def global_resistance(g: WeightedGraph) -> float:
     r, _ = _resistance_matrix(g)
     # Python floats, which add past the float range to inf without a warning
     return _in_range(sum(r.item(i, j) for i, j, _ in g.edges))
-
-
-def resistance_sums(conductances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, E, exponent) of edges in series, over the last axis of a (..., k) array:
-    the sum of the resistances r_e = 1/c_e and of their pairwise products
-    r_e r_f over e < f, of the r_e scaled by 2^-exponent, the power of two
-    that brings S into [1/2, 1). The exact scaling keeps E from underflowing
-    or overflowing. A row of a stack gives the bits it gives alone."""
-    r = 1.0 / np.asarray(conductances, dtype=float)
-    total, exponents = np.frexp(r.sum(axis=-1))
-    r = np.ldexp(r, -exponents[..., None])
-    pairs = (r[..., 1:] * np.cumsum(r, axis=-1)[..., :-1]).sum(axis=-1)
-    return total, pairs, exponents
-
-
-def cycle_rho_closed_form(conductances: Sequence[float]) -> float:
-    """Global resistance of an n-cycle by series-parallel reduction.
-
-    With edge resistances r_e = 1/c_e and S their sum, each adjacent pair
-    sees r_e (S - r_e) / S, so the total is (S^2 - sum of r_e^2) / S = 2E/S,
-    E being the sum of the pairwise products r_e r_f. E adds positive terms
-    only, so the result keeps full relative accuracy at any conductance ratio,
-    and :func:`resistance_sums` scales it free of underflow and overflow.
-    """
-    try:
-        values = [float(c) for c in conductances]
-    except TypeError:
-        raise GraphError(f"conductances must be a flat sequence of reals, got {conductances!r}") from None
-    if len(values) < 3:
-        raise GraphError(f"a cycle needs at least 3 conductances, got {len(values)}")
-    if not all(0.0 < c < math.inf for c in values):
-        raise GraphError(f"conductances must all be positive and finite, got {values}")
-    total, pairs, exponent = resistance_sums(values)
-    return float(np.ldexp(2.0 * pairs / total, exponent))
 
 
 def metric_check(g: WeightedGraph, tol: float = 1e-10) -> bool:

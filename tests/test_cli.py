@@ -1,12 +1,14 @@
 """Command-line interface: outputs, CSV files, the exit-code taxonomy, imports."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -215,16 +217,26 @@ class TestVerifyCommand:
         assert main(["verify"] + args) == code
         assert "VIOLATION" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("args", [
-        ["1e-320", "1", "1"],  # rho = inf/inf
-        ["1e200", "1e-200", "1"],  # lambda_1 rho is 3, below eigvalsh's resolution
-    ])
-    def test_unresolvable_products_exit_4(self, capsys, args):
-        with np.errstate(all="ignore"):
-            assert main(["verify"] + args) == 4
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [["1e-310", "1", "1"], ["1e308", "1e308", "1"], ["1e-320", "1", "1"]])
+    def test_subnormal_scaled_conductance_resolves(self, capsys, args):
+        # scaled by the largest conductance's power of two, the smallest is
+        # subnormal, and its resistance, so the series sum S, overflows
+        assert main(["verify"] + args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lambda1_rho, lambda2_rho, status = captured.out.split()
+        assert float(lambda1_rho.removeprefix("lambda1_rho=")) == pytest.approx(4.0, rel=1e-9)
+        assert float(lambda2_rho.removeprefix("lambda2_rho=")) == pytest.approx(12.0, rel=1e-9)
+        assert status == "OK"
+
+    @pytest.mark.filterwarnings("error")
+    def test_unresolvable_products_exit_4(self, capsys):
+        # the 1e-200 conductance scales to 0 beside 1e200, which leaves rho NaN
+        assert main(["verify", "1e200", "1e-200", "1"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cannot be resolved" in captured.err
+        assert captured.err.count("\n") == 1 and "cannot be resolved" in captured.err
 
 
 #: sha256 of the ``figure`` CSV per (family, lo, hi, steps), recorded while the
@@ -244,6 +256,15 @@ FIGURE_CSV_SHA256 = {
     ("fig3", "0.26", "12.0", "600"): "aa0ae0cf8f1dc0385156025abff8c61af6cc67b0a25573c85fc94eb18ef85672",
     ("fig4", "0.1", "10.0", "600"): "6a51401552b34c5cdad022e70b0b38f7a7c0384a24295f615e7aa2cf734aa834",
     ("fig5", "0.2", "10.0", "600"): "76abdb5f6da97731a78072396752877b1e5f6c4c1e5341b14047a4607c9ebc0d",
+}
+
+#: sha256 of the stdout, ``--out`` CSV and ``--trace`` JSON Lines bytes of
+#: ``search 5 --restarts 3 --iters 300 --seed 3``, recorded while the search's
+#: products were still computed in ``extremal`` (numpy 2.4 on x86-64).
+SEARCH_SHA256 = {
+    "stdout": "0bdb4d29835c7a927246a91f71515b05174fc8af97a62a00ae037eb5b37a4c8d",
+    "out": "f948387149626c8a2b5c37f7899eb16f5d9a39add9dfe8f87b4c5d3b60d503a6",
+    "trace": "97d1bdb1b0985266a4691d6b54f42dd908f17cba328fc395546561e1c5ff77b9",
 }
 
 
@@ -473,6 +494,14 @@ class TestSearchCommand:
         # the seed mixes converged and capped restarts
         assert {record["max_converged"] for record in records} == {True, False}
 
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        out, trace = tmp_path / "search.csv", tmp_path / "search.jsonl"
+        assert main(["search", "5", "--restarts", "3", "--iters", "300", "--seed", "3",
+                     "--out", str(out), "--trace", str(trace)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        outputs = {"stdout": stdout, "out": out.read_bytes(), "trace": trace.read_bytes()}
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == SEARCH_SHA256
+
     def test_unwritable_trace_exit_2(self, tmp_path):
         trace = str(tmp_path / "missing" / "t.jsonl")
         assert main(["search", "3", "--restarts", "2", "--iters", "50", "--trace", trace]) == 2
@@ -566,15 +595,19 @@ class TestOneParserPerProcess:
         assert [written for *_, written in shared] == [False] * 5 + [True] + [False] * 4
 
 
-#: Runs the cycle subcommands, then the general-graph ones, in a fresh
-#: interpreter and reports the scipy modules loaded after each stage.
+#: Imports ``ohmlab.cycles`` alone, then runs the cycle subcommands and the
+#: general-graph ones in a fresh interpreter, and reports the scipy modules
+#: loaded after each stage and whether ``numpy.random`` is loaded at the end.
 IMPORT_PROBE = textwrap.dedent("""
     import json, os, sys
-    import ohmlab, ohmlab.cli
-    from ohmlab.cli import main
 
     def scipy_modules():
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    import ohmlab.cycles
+    report = {"cycles": scipy_modules()}
+    import ohmlab, ohmlab.cli
+    from ohmlab.cli import main
 
     tmp = sys.argv[1]
     cycle_graph = os.path.join(tmp, "c3.txt")
@@ -583,34 +616,66 @@ IMPORT_PROBE = textwrap.dedent("""
     graph = os.path.join(tmp, "c4_chord.txt")
     with open(graph, "w") as handle:
         handle.write("n 4\\n0 1 1\\n1 2 2\\n2 3 3\\n0 3 4\\n0 2 1\\n")
-    report = {"import": scipy_modules(), "parsers_at_import": ohmlab.cli.build_parser.cache_info().currsize}
+    report.update({"import": scipy_modules(), "parsers_at_import": ohmlab.cli.build_parser.cache_info().currsize})
     report["cycle_codes"] = [
         main(["verify", "1", "2", "3"]),
         main(["figure", "fig1", "0.6", "1.9", "5", "--out", os.path.join(tmp, "fig1.csv")]),
-        main(["search", "3", "--restarts", "2"]),
         main(["rho", cycle_graph]),
         main(["resistance", cycle_graph, "0", "2"]),
     ]
     report["cycle"] = scipy_modules()
     report["graph_codes"] = [main(["spectrum", graph]), main(["rho", graph])]
     report["graph"] = scipy_modules()
+    report["random"] = "numpy.random" in sys.modules
     print(json.dumps(report))
 """)
+
+#: Runs the search alone in a fresh interpreter and reports its exit code and
+#: the scipy modules loaded. The search draws random numbers, so it runs apart
+#: from ``IMPORT_PROBE``, whose subcommands must leave ``numpy.random`` unloaded.
+SEARCH_PROBE = textwrap.dedent("""
+    import json, sys
+    from ohmlab.cli import main
+
+    code = main(["search", "3", "--restarts", "2"])
+    print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+""")
+
+
+def run_probe(probe, *args):
+    """Runs ``probe`` in a fresh interpreter on this checkout's ``ohmlab`` and
+    returns the JSON object on the last line of its stdout."""
+    env = dict(os.environ)
+    source = os.path.dirname(os.path.dirname(ohmlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe, *args],
+                            env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 class TestImports:
     def test_cycle_subcommands_never_load_scipy(self, tmp_path):
-        env = dict(os.environ)
-        source = os.path.dirname(os.path.dirname(ohmlab.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
-                                env=env, capture_output=True, text=True, timeout=120, check=True)
-        report = json.loads(result.stdout.splitlines()[-1])
+        report = run_probe(IMPORT_PROBE, str(tmp_path))
+        assert report["cycles"] == []
         assert report["import"] == []
         assert report["parsers_at_import"] == 0
         # rho and resistance on a cycle file take the arc route, which needs no LAPACK
-        assert report["cycle_codes"] == [0, 0, 0, 0, 0]
+        assert report["cycle_codes"] == [0, 0, 0, 0]
         assert report["cycle"] == []
         assert report["graph_codes"] == [0, 0]
         assert [m for m in report["graph"] if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
         assert "scipy.linalg" not in report["graph"]
+        # numpy.random costs a bare process about 6 MiB and 16 ms; only the search needs it
+        assert report["random"] is False
+
+    def test_search_never_loads_scipy(self):
+        assert run_probe(SEARCH_PROBE) == {"code": 0, "scipy": []}
+
+    def test_no_module_imports_another_modules_private_name(self):
+        package = pathlib.Path(ohmlab.__file__).parent
+        private = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ohmlab")):
+                    private += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+        assert private == []

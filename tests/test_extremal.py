@@ -20,7 +20,8 @@ from ohmlab import (
     unit_cycle_baseline,
     verify_theorem,
 )
-from ohmlab.extremal import _nelder_mead, _product_evaluator
+from ohmlab.cycles import product_evaluator
+from ohmlab.extremal import _nelder_mead
 
 from conftest import log_uniform
 
@@ -117,13 +118,21 @@ class TestVerifyTheorem:
             if report.equality:
                 assert conducts.max() / conducts.min() < 1.0 + 1e-6
 
-    @pytest.mark.parametrize("conductances", [
-        (1e-320, 1.0, 1.0),  # rho = inf/inf
-        (1e200, 1.0, 1e-200),  # lambda_1 rho is 3, far below eigvalsh's eps lambda_max rho
-    ])
-    def test_unresolvable_products_raise(self, conductances):
-        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError, match="cannot be resolved"):
-            verify_theorem(conductances)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("conductances", [(1e-320, 1.0, 1.0), (1e-310, 1.0, 1.0), (1e308, 1.0, 1e308)])
+    def test_subnormal_scaled_conductance_resolves(self, conductances):
+        # one conductance is subnormal, or turns subnormal when the largest is
+        # scaled into [1/2, 1); the other two edges form a unit path
+        report = verify_theorem(conductances)
+        assert report.lambda1_rho == pytest.approx(4.0, rel=1e-9)
+        assert report.lambdamax_rho == pytest.approx(12.0, rel=1e-9)
+        assert report.lower_ok and report.upper_ok and not report.equality
+
+    @pytest.mark.filterwarnings("error")
+    def test_unresolvable_products_raise(self):
+        # the 1e-200 conductance scales to 0 beside 1e200, which leaves rho NaN
+        with pytest.raises(np.linalg.LinAlgError, match="cannot be resolved"):
+            verify_theorem((1e200, 1.0, 1e-200))
 
     def test_rejects_infinite_conductance(self):
         with pytest.raises(GraphError, match="finite"):
@@ -382,7 +391,7 @@ class TestSearch:
         assert report.margin == expected_margin
 
     def test_gauge_pinning_and_nan_guard(self):
-        products = _product_evaluator(4)
+        products = product_evaluator(4)
         (low,), (high,) = products(np.zeros((1, 3)))
         assert low == pytest.approx(6.0, rel=1e-12)
         assert high == pytest.approx(12.0, rel=1e-12)
@@ -399,7 +408,7 @@ class TestSearch:
 
     def test_eigen_sym_cross_checks_search_eigensolver(self):
         rng = np.random.default_rng(33)
-        products = _product_evaluator(5)
+        products = product_evaluator(5)
         points = rng.uniform(-2.0, 2.0, size=(20, 4))
         lows, highs = products(points)
         for x, low, high in zip(points, lows, highs):
@@ -418,7 +427,7 @@ class TestSearch:
         for _ in range(300):
             n = int(rng.integers(3, 9))
             x = rng.uniform(-0.5, 0.5, size=(1, n - 1)) * math.log(10.0) * 16.0
-            products = _product_evaluator(n)
+            products = product_evaluator(n)
             (low,), _ = products(x)
             conducts = np.exp(np.concatenate(([0.0], x[0])))
             # lambda_1 of the evaluator's own stack, so only rho is under test
@@ -456,7 +465,7 @@ class TestSearch:
         # 5 and 6 some lanes converge while others reach the cap
         restarts, cap, seed = 2, 300, 3
         report = search_counterexample(n, restarts=restarts, iters_per_restart=cap, seed=seed)
-        products = _product_evaluator(n)
+        products = product_evaluator(n)
 
         def objective(side):
             def value(x):

@@ -24,11 +24,12 @@ from ohmlab import (
     two_equal_family,
 )
 import ohmlab.cli
+import ohmlab.cycles
 import ohmlab.extremal
 import ohmlab.families
 from ohmlab.cli import main
-from ohmlab.families import _last_cycle_conductances, cycle_spectra, solve_third_conductance
-from ohmlab.resistance import resistance_sums
+from ohmlab.cycles import cycle_spectra, last_cycle_conductances, resistance_sums
+from ohmlab.families import solve_third_conductance
 
 from conftest import count_calls, log_uniform
 
@@ -164,7 +165,7 @@ class TestSolveLastCycleConductance:
         known, rho = [1e300, 1e300], 1e-300 * (1 + 4e-15)
         with pytest.raises(InfeasibleFamilyError, match="positive but its conductance overflows"):
             solve_last_cycle_conductance(known, rho)
-        free, _ = _last_cycle_conductances([known, [1e300, 1e301]], rho)
+        free, _ = last_cycle_conductances([known, [1e300, 1e301]], rho)
         assert math.isnan(free[0]) and 0.0 < free[1] < math.inf
 
     def test_tiny_resistance_at_unit_scale(self):
@@ -391,44 +392,48 @@ class TestOneSolvePerGrid:
     @pytest.mark.parametrize("family", sorted(BENCHMARK_GRIDS))
     def test_scan_family(self, monkeypatch, family):
         counts = count_calls(monkeypatch, ohmlab.families,
-                             ("_last_cycle_conductances", "solve_last_cycle_conductance", "resistance_sums"))
+                             ("last_cycle_conductances", "solve_last_cycle_conductance", "cycle_spectra"))
+        sums = count_calls(monkeypatch, ohmlab.cycles, ("resistance_sums",))
         assert len(BENCHMARK_GRIDS[family]) == 600
         assert scan_family(family, BENCHMARK_GRIDS[family])
+        assert counts == {"last_cycle_conductances": 1, "solve_last_cycle_conductance": 0, "cycle_spectra": 1}
         # the solve and the cycle_spectra call behind the realized points
-        assert counts == {"_last_cycle_conductances": 1, "solve_last_cycle_conductance": 0, "resistance_sums": 2}
+        assert sums == {"resistance_sums": 2}
 
     def test_monotonicity_check(self, monkeypatch):
-        counts = count_calls(monkeypatch, ohmlab.extremal, ("_last_cycle_conductances", "cycle_spectra"))
+        counts = count_calls(monkeypatch, ohmlab.extremal, ("last_cycle_conductances", "cycle_spectra"))
         grid = np.linspace(1.2, 0.98 * 1.2 / 0.2, 400)
         assert monotonicity_check("lemma43a", 1.2, grid).ok
-        assert counts == {"_last_cycle_conductances": 1, "cycle_spectra": 1}
+        assert counts == {"last_cycle_conductances": 1, "cycle_spectra": 1}
 
     def test_figure_reference_column(self, monkeypatch, tmp_path):
-        cli_counts = count_calls(monkeypatch, ohmlab.cli, ("_feasible_grid", "cycle_spectra"))
+        cli_counts = count_calls(monkeypatch, ohmlab.cli, ("feasible_grid", "cycle_rhos"))
         family_counts = count_calls(monkeypatch, ohmlab.families,
-                                    ("_last_cycle_conductances", "cycle_spectra", "resistance_sums", "CyclePoint"))
+                                    ("last_cycle_conductances", "cycle_spectra", "CyclePoint"))
+        sums = count_calls(monkeypatch, ohmlab.cycles, ("resistance_sums",))
         out = tmp_path / "fig2.csv"
         assert main(["figure", "fig2", "0.01", "2.99", "600", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 600 + 2
         # one solve and one cycle_spectra call for the grid, one rho call for
         # the reference column, and no per-row point
-        assert cli_counts == {"_feasible_grid": 1, "cycle_spectra": 1}
-        assert family_counts == {"_last_cycle_conductances": 1, "cycle_spectra": 1, "resistance_sums": 3,
-                                 "CyclePoint": 0}
+        assert cli_counts == {"feasible_grid": 1, "cycle_rhos": 1}
+        assert family_counts == {"last_cycle_conductances": 1, "cycle_spectra": 1, "CyclePoint": 0}
+        assert sums == {"resistance_sums": 3}
 
     # fig2 is test_figure_reference_column
     @pytest.mark.parametrize("family", ["fig1", "fig3", "fig4", "fig5"])
     def test_figure_command(self, monkeypatch, tmp_path, family):
-        cli_counts = count_calls(monkeypatch, ohmlab.cli, ("_feasible_grid", "cycle_spectra"))
+        cli_counts = count_calls(monkeypatch, ohmlab.cli, ("feasible_grid", "cycle_rhos"))
         family_counts = count_calls(monkeypatch, ohmlab.families,
-                                    ("_last_cycle_conductances", "cycle_spectra", "resistance_sums", "CyclePoint"))
+                                    ("last_cycle_conductances", "cycle_spectra", "CyclePoint"))
+        sums = count_calls(monkeypatch, ohmlab.cycles, ("resistance_sums",))
         grid = BENCHMARK_GRIDS[family].tolist()
         out = tmp_path / f"{family}.csv"
         assert main(["figure", family, repr(grid[0]), repr(grid[-1]), str(len(grid)), "--out", str(out)]) == 0
         disputed = family in DISPUTED_REFERENCES
-        assert cli_counts == {"_feasible_grid": 1, "cycle_spectra": int(disputed)}
-        assert family_counts == {"_last_cycle_conductances": 1, "cycle_spectra": 1,
-                                 "resistance_sums": 2 + int(disputed), "CyclePoint": 0}
+        assert cli_counts == {"feasible_grid": 1, "cycle_rhos": int(disputed)}
+        assert family_counts == {"last_cycle_conductances": 1, "cycle_spectra": 1, "CyclePoint": 0}
+        assert sums == {"resistance_sums": 2 + int(disputed)}
 
 
 def _series_sums_loop(conductances):
@@ -472,6 +477,26 @@ class TestStackedRowsMatchOneRowCalls:
                     ours, theirs = np.ldexp(ours, exponents[k]), math.ldexp(theirs, loop[2])
                     assert abs(ours - theirs) <= 4 * n * eps * theirs
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [3, 6, 9, 12])
+    def test_resistance_sums_with_rows_summed_again(self, n):
+        # rows with a subnormal conductance sum past the float range and are
+        # summed again; the others, 1e-300 included, keep the bits a stack
+        # without subnormals gives them
+        rng = np.random.default_rng(50 + n)
+        stack = log_uniform(rng, 1e-3, 1e3, size=(40, n))
+        stack[::4, 0] = np.ldexp(stack[::4, 0], -1060)
+        stack[1::8, 1] = 1e-300
+        total, pairs, exponents = resistance_sums(stack)
+        assert np.isfinite(total).all() and np.isfinite(pairs).all()
+        for k, row in enumerate(stack.tolist()):
+            alone = resistance_sums(row)
+            assert (float(alone[0]), float(alone[1]), int(alone[2])) == (total[k], pairs[k], exponents[k])
+        normal = np.ones(len(stack), dtype=bool)
+        normal[::4] = False
+        for got, want in zip((total, pairs, exponents), resistance_sums(stack[normal])):
+            assert np.array_equal(got[normal], want)
+
     @pytest.mark.parametrize("n", range(3, 13))
     def test_solver_core(self, n):
         rng = np.random.default_rng(60 + n)
@@ -479,10 +504,10 @@ class TestStackedRowsMatchOneRowCalls:
         # rho is feasible below 2S only, S the sum of the known resistances, so
         # the median of 2S leaves about half of the rows infeasible
         target = float(np.median(2.0 * (1.0 / known).sum(axis=1)))
-        free, diagnostics = _last_cycle_conductances(known, target)
+        free, diagnostics = last_cycle_conductances(known, target)
         assert np.isnan(free).any() and not np.isnan(free).all()
         for k, row in enumerate(known.tolist()):
-            (alone,), alone_diagnostics = _last_cycle_conductances([row], target)
+            (alone,), alone_diagnostics = last_cycle_conductances([row], target)
             assert np.array_equal(alone, free[k], equal_nan=True)
             for one, stacked in zip(alone_diagnostics, diagnostics):
                 assert np.array_equal(one[0], stacked[k], equal_nan=True)

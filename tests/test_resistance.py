@@ -583,6 +583,20 @@ class TestCycleClosedForm:
             want = cycle_rho_closed_form(c)
             assert abs(alpha * cycle_rho_closed_form(alpha * c) - want) <= 4 * eps * want
 
+    @pytest.mark.parametrize("conductances", [(1e-310, 1.0, 1.0), (1e-320, 1.0, 1.0), (1e-320, 3.0, 3.0),
+                                              (1e-320, 3.0, 7.0, 0.2)])
+    def test_subnormal_conductance_matches_mpmath(self, conductances):
+        # the subnormal's resistance overflows, so its cycle is summed again
+        # from conductances scaled by a power of two
+        with mpmath.workdps(60):
+            r = [1 / mpmath.mpf(c) for c in conductances]
+            pairs = mpmath.fsum(r[i] * r[j] for j in range(len(r)) for i in range(j))
+            exact = float(2 * pairs / mpmath.fsum(r))
+        assert abs(cycle_rho_closed_form(conductances) - exact) <= 1e-15 * exact
+
+    def test_rho_past_float_range_reads_inf(self):
+        assert cycle_rho_closed_form([1e-320] * 3) == math.inf
+
     def test_rejects_short_list(self):
         with pytest.raises(GraphError):
             cycle_rho_closed_form([1.0, 1.0])

@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from ohmlab.cycles import cycle_spectra, last_cycle_conductances
 from ohmlab.extremal import _MONOTONICITY_CHECKS
-from ohmlab.families import (FIGURE_FAMILIES, REFERENCE_FORMULAS, _family_conductances, _last_cycle_conductances,
-                             cycle_spectra)
+from ohmlab.families import FIGURE_FAMILIES, REFERENCE_FORMULAS, _family_conductances
 
 from conftest import log_uniform
 
@@ -197,7 +197,7 @@ def test_solver_matches_rho2_form():
         rows += [(b_value, x) for x in np.linspace(b_value, 0.98 * b_value / (b_value - 1.0), 50).tolist()]
     for b_value in rng.uniform(0.6, 0.95, 20).tolist():
         rows += [(b_value, x) for x in np.linspace(1.0 - b_value + 0.01, b_value, 50).tolist()]
-    solved, _ = _last_cycle_conductances(np.array(rows), 2.0)
+    solved, _ = last_cycle_conductances(np.array(rows), 2.0)
     exact = sp.lambdify((b, r), RHO2_FORM, modules="math")
     kappa = sp.lambdify((b, r), (sp.Abs(b * sp.diff(RHO2_FORM, b)) + sp.Abs(r * sp.diff(RHO2_FORM, r)))
                         / sp.Abs(RHO2_FORM), modules="math")
