@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="restart k starts from numpy's default_rng([seed, k]) PCG64 stream, "
+                        "reproduced without numpy.random")
     p.add_argument("--out", default=None, help="optional CSV of per-restart bests")
     p.add_argument("--trace", default=None,
                    help="optional JSON Lines file: per restart, both products and each "

@@ -6,7 +6,9 @@ from above and below respectively, with equality exactly at equal weights.
 This module verifies that bound, realizes the monotonicity statements behind
 it as numerical scans, and searches larger cycles for counterexamples to the
 analogous extremality of equal weights using scale-free Nelder-Mead runs. The
-search advances every restart and both directions together. This module owns
+search advances every restart and both directions together, from starting
+simplices drawn from numpy's ``default_rng([seed, restart])`` PCG64 stream,
+reproduced in Python integers without ``numpy.random``. This module owns
 the verdicts, the scans and the Nelder-Mead driver; the numbers come from
 :mod:`ohmlab.cycles`: one :func:`~ohmlab.cycles.cycle_spectra` call per
 theorem check or monotonicity grid, and one
@@ -36,6 +38,18 @@ _EXPANSION = 2.0
 _CONTRACTION = 0.5
 _SHRINK = 0.5
 _DIAMETER_TOL = 1e-9
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: numpy's SeedSequence: the hashmix constants of the entropy pool and of the
+#: state it generates, and the two multipliers of mix
+_POOL_INIT, _POOL_MULT = 0x43B0D7E5, 0x931E8875
+_STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+#: PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -117,8 +131,10 @@ def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremR
     lambda_1 is about eps lambda_max, so a product it cannot resolve within
     that slack (3 eps lambda_max rho > 6 tol), or a non-finite product,
     raises ``numpy.linalg.LinAlgError`` instead of a verdict. The products are
-    computed on the conductances scaled by a power of two; ``rho`` is scaled
-    back and reads inf where it exceeds the float range.
+    computed on the conductances scaled by the power of two that brings the
+    largest into [1/2, 1), unless that scaling would round a subnormal one
+    while every degree is finite unscaled; ``rho`` is scaled back and reads
+    inf where it exceeds the float range.
     """
     values = tuple(float(x) for x in conductances)
     if len(values) != 3:
@@ -127,10 +143,16 @@ def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremR
         raise ValueError("tol must be positive")
     if not all(0.0 < c < math.inf for c in values):
         raise GraphError(f"conductances must be positive finite reals, got {values}")
-    # the products are scale-free: dividing by the power of two that brings the
-    # largest conductance into [1/2, 1) is exact and keeps the Laplacian finite
+    # the products are scale-free. Scaling by a power of two keeps the Laplacian
+    # finite and LAPACK off its own rescaling, which is not by a power of two,
+    # so the products are the same at every 2^k; where it would round a
+    # conductance, the unscaled cycle is exact unless a degree overflows
     exponent = math.frexp(max(values))[1]
-    eigenvalues, rhos = cycle_spectra([[math.ldexp(c, -exponent) for c in values]])
+    scaled = [math.ldexp(c, -exponent) for c in values]
+    if (any(math.ldexp(c, exponent) != v for c, v in zip(scaled, values))
+            and all(values[e] + values[e - 1] < math.inf for e in range(3))):
+        scaled, exponent = list(values), 0
+    eigenvalues, rhos = cycle_spectra([scaled])
     scaled_rho = float(rhos[0])
     lambda1_rho = float(eigenvalues[0, 1]) * scaled_rho
     lambdamax_rho = float(eigenvalues[0, 2]) * scaled_rho
@@ -314,16 +336,77 @@ def _nelder_mead(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], simplices: 
                         converged, nonfinite)
 
 
+def _hashmix(mult: int, step: int) -> Callable[[int], int]:
+    """numpy SeedSequence's 32-bit hashmix, whose multiplier advances by ``step`` per call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * step & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """numpy SeedSequence's mix of two 32-bit words."""
+    value = (_MIX_LEFT * x - _MIX_RIGHT * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _restart_draws(seed: int, restart: int, count: int) -> list[float]:
+    """The first ``count`` values of ``numpy.random.default_rng([seed, restart])``'s
+    ``uniform(-3.0, 3.0)`` draws, bit for bit, in Python integers.
+
+    numpy's SeedSequence splits each of the two integers into little-endian
+    32-bit words, hashes them into a pool of four and generates four 64-bit
+    words; two seed PCG64's 128-bit state and two its increment. Each draw
+    steps the LCG, takes the XSL-RR output x and returns -3 + 6 (x >> 11) 2^-53.
+    """
+    entropy = []
+    for value in (seed, restart):
+        entropy.append(value & _MASK32)
+        while value := value >> 32:
+            entropy.append(value & _MASK32)
+
+    hashmix = _hashmix(_POOL_INIT, _POOL_MULT)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(_STATE_INIT, _STATE_MULT)
+    words = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
+    state_high, state_low, inc_high, inc_low = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+    # PCG64 seeding: one step from 0, add the seed state, one more step
+    state = ((inc + (state_high << 64 | state_low)) * _PCG_MULT + inc) & _MASK128
+    draws = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rotation = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        x = (x >> rotation | x << (64 - rotation)) & _MASK64
+        draws.append(-3.0 + 6.0 * ((x >> 11) * 2.0 ** -53))
+    return draws
+
+
 def search_counterexample(n: int, restarts: int = 200, iters_per_restart: int = 500,
                           seed: int = 0) -> SearchReport:
     """Search n-cycle conductances maximizing lambda_1 rho and minimizing lambda_{n-1} rho.
 
-    Each restart draws fresh simplex vertices log-uniformly in [-3, 3] per
-    coordinate from a stream derived from (seed, restart index), then runs one
-    Nelder-Mead per direction; all restarts and both directions advance in
-    lockstep as lanes 2k (maximizing) and 2k+1 (minimizing) of one
-    :func:`_nelder_mead`. A counterexample is flagged when a product beats its
-    unit-cycle baseline by more than a relative 1e-7.
+    Restart k draws the vertices of two simplices, the maximizing one first,
+    log-uniformly in [-3, 3] per coordinate: the first 2 n (n-1) values of
+    numpy's ``default_rng([seed, k]).uniform(-3.0, 3.0)`` PCG64 stream,
+    reproduced without ``numpy.random``. It then runs one Nelder-Mead per
+    direction; all restarts and both directions advance in lockstep as lanes
+    2k (maximizing) and 2k+1 (minimizing) of one :func:`_nelder_mead`. A
+    counterexample is flagged when a product beats its unit-cycle baseline by
+    more than a relative 1e-7.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"cycle length must be an integer >= 3, got {n!r}")
@@ -350,12 +433,8 @@ def search_counterexample(n: int, restarts: int = 200, iters_per_restart: int = 
         return tuple(float(v) for v in np.exp(np.concatenate(([0.0], x))))
 
     dim = n - 1
-    simplices = []
-    for k in range(restarts):
-        rng = np.random.default_rng([seed, k])
-        simplices.append(rng.uniform(-3.0, 3.0, size=(dim + 1, dim)))
-        simplices.append(rng.uniform(-3.0, 3.0, size=(dim + 1, dim)))
-    lanes = _nelder_mead(objective, np.stack(simplices), iters_per_restart)
+    draws = [x for k in range(restarts) for x in _restart_draws(seed, k, 2 * (dim + 1) * dim)]
+    lanes = _nelder_mead(objective, np.array(draws).reshape(2 * restarts, dim + 1, dim), iters_per_restart)
 
     records = []
     for k in range(restarts):

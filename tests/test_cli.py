@@ -218,10 +218,12 @@ class TestVerifyCommand:
         assert "VIOLATION" not in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("args", [["1e-310", "1", "1"], ["1e308", "1e308", "1"], ["1e-320", "1", "1"]])
+    @pytest.mark.parametrize("args", [["1e-310", "1", "1"], ["1e308", "1e308", "1"], ["1e-320", "1", "1"],
+                                      ["5e-324", "1", "1"]])
     def test_subnormal_scaled_conductance_resolves(self, capsys, args):
-        # scaled by the largest conductance's power of two, the smallest is
-        # subnormal, and its resistance, so the series sum S, overflows
+        # scaled by the largest conductance's power of two, or unscaled where
+        # that would round it (5e-324), the smallest is subnormal, and its
+        # resistance, so the series sum S, overflows
         assert main(["verify"] + args) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -232,7 +234,8 @@ class TestVerifyCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_unresolvable_products_exit_4(self, capsys):
-        # the 1e-200 conductance scales to 0 beside 1e200, which leaves rho NaN
+        # scaled beside 1e200, 1e-200 would round to 0, so the cycle is computed
+        # unscaled: the products are 2 and 4e200, and 3 eps lambda_2 rho > 6 tol
         assert main(["verify", "1e200", "1e-200", "1"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -630,15 +633,16 @@ IMPORT_PROBE = textwrap.dedent("""
     print(json.dumps(report))
 """)
 
-#: Runs the search alone in a fresh interpreter and reports its exit code and
-#: the scipy modules loaded. The search draws random numbers, so it runs apart
-#: from ``IMPORT_PROBE``, whose subcommands must leave ``numpy.random`` unloaded.
+#: Runs the search alone in a fresh interpreter and reports its exit code, the
+#: scipy modules loaded and whether ``numpy.random`` and OpenSSL's ``_hashlib``
+#: (which importing ``numpy.random`` loads through ``secrets``) are loaded.
 SEARCH_PROBE = textwrap.dedent("""
     import json, sys
     from ohmlab.cli import main
 
     code = main(["search", "3", "--restarts", "2"])
-    print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                      "random": "numpy.random" in sys.modules, "hashlib": "_hashlib" in sys.modules}))
 """)
 
 
@@ -665,11 +669,12 @@ class TestImports:
         assert report["graph_codes"] == [0, 0]
         assert [m for m in report["graph"] if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
         assert "scipy.linalg" not in report["graph"]
-        # numpy.random costs a bare process about 6 MiB and 16 ms; only the search needs it
+        # numpy.random costs a bare process about 6 MiB and 16 ms; no subcommand needs it
         assert report["random"] is False
 
     def test_search_never_loads_scipy(self):
-        assert run_probe(SEARCH_PROBE) == {"code": 0, "scipy": []}
+        # the search draws its starting simplices in Python integers, not through numpy.random
+        assert run_probe(SEARCH_PROBE) == {"code": 0, "scipy": [], "random": False, "hashlib": False}
 
     def test_no_module_imports_another_modules_private_name(self):
         package = pathlib.Path(ohmlab.__file__).parent

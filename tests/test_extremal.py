@@ -21,7 +21,7 @@ from ohmlab import (
     verify_theorem,
 )
 from ohmlab.cycles import product_evaluator
-from ohmlab.extremal import _nelder_mead
+from ohmlab.extremal import _nelder_mead, _restart_draws
 
 from conftest import log_uniform
 
@@ -119,10 +119,12 @@ class TestVerifyTheorem:
                 assert conducts.max() / conducts.min() < 1.0 + 1e-6
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("conductances", [(1e-320, 1.0, 1.0), (1e-310, 1.0, 1.0), (1e308, 1.0, 1e308)])
+    @pytest.mark.parametrize("conductances", [(1e-320, 1.0, 1.0), (1e-310, 1.0, 1.0), (1e308, 1.0, 1e308),
+                                              (5e-324, 1.0, 1.0)])
     def test_subnormal_scaled_conductance_resolves(self, conductances):
         # one conductance is subnormal, or turns subnormal when the largest is
-        # scaled into [1/2, 1); the other two edges form a unit path
+        # scaled into [1/2, 1); the other two edges form a unit path. Halved,
+        # 5e-324 would round to 0, so that cycle is computed unscaled
         report = verify_theorem(conductances)
         assert report.lambda1_rho == pytest.approx(4.0, rel=1e-9)
         assert report.lambdamax_rho == pytest.approx(12.0, rel=1e-9)
@@ -130,7 +132,8 @@ class TestVerifyTheorem:
 
     @pytest.mark.filterwarnings("error")
     def test_unresolvable_products_raise(self):
-        # the 1e-200 conductance scales to 0 beside 1e200, which leaves rho NaN
+        # scaled beside 1e200, 1e-200 would round to 0, so the cycle is computed
+        # unscaled: the products are 2 and 4e200, and 3 eps lambda_2 rho > 6 tol
         with pytest.raises(np.linalg.LinAlgError, match="cannot be resolved"):
             verify_theorem((1e200, 1.0, 1e-200))
 
@@ -458,6 +461,24 @@ class TestSearch:
             assert lanes.evaluations[k] == evaluations
             assert lanes.nonfinite[k] == nonfinite
             assert lanes.converged[k] == (iterations < max_iters)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2009833639, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_restart_draws_match_numpy_stream(self, seed):
+        # numpy's stream, drawn as two (n, n - 1) simplices per restart, the
+        # maximizing one first; seeds past 2^32 take two or three 32-bit
+        # entropy words, and with the restart's word up to four
+        for k in range(40):
+            for n in range(3, 13):
+                rng = np.random.default_rng([seed, k])
+                expected = [rng.uniform(-3.0, 3.0, size=(n, n - 1)) for _ in range(2)]
+                draws = np.array(_restart_draws(seed, k, 2 * n * (n - 1))).reshape(2, n, n - 1)
+                assert np.array_equal(draws, expected), (seed, k, n)
+
+    def test_restart_draws_mix_entropy_past_the_pool(self):
+        # five and more 32-bit entropy words overflow SeedSequence's pool of four
+        for seed, k in [(2**64 + 3, 2**32 + 1), (2**128 + 7, 5), (2**200 - 1, 2**70)]:
+            expected = np.random.default_rng([seed, k]).uniform(-3.0, 3.0, size=40)
+            assert np.array_equal(_restart_draws(seed, k, 40), expected), (seed, k)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_search_lanes_match_scalar_reference_on_products(self, n):
