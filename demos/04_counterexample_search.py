@@ -5,7 +5,10 @@ The products lambda_1 * rho and lambda_{n-1} * rho are invariant under global
 conductance scaling, so equal weights being extremal is a statement about
 proportions only. Each restart runs a Nelder-Mead simplex over log-conductance
 space (one coordinate pinned to remove the scale gauge), maximizing
-lambda_1 * rho and minimizing lambda_{n-1} * rho.
+lambda_1 * rho. The other side needs no search: lambda_max and rho are convex
+in the conductances and invariant under rotating the cycle, so averaging the
+rotations lowers both, and equal weights minimize lambda_max * rho on every
+n-cycle.
 
 For n = 3 the extremality of equal weights is a theorem and the search
 converges to products of exactly 6. For n = 4 and n = 5 it finds nothing
@@ -41,7 +44,7 @@ def main():
         report = ol.search_counterexample(n, restarts=40, iters_per_restart=500, seed=0)
         print(f"n = {n}: baselines ({report.baseline_low:.9f}, {report.baseline_high:.9f})")
         print(f"   best max lambda1*rho     = {report.best_max_product:.12f}")
-        print(f"   best min lambda_max*rho  = {report.best_min_product:.12f}")
+        print(f"   min lambda_max*rho       = {report.best_min_product:.12f} at equal weights (proved)")
         if not report.counterexample:
             print("   equal weights stay extremal (no counterexample)")
             continue

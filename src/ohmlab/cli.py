@@ -28,9 +28,8 @@ from .resistance import effective_resistance, global_resistance
 _THREE_CYCLE_PAIR_ORDER = (0, 2, 1)
 
 #: ``RestartBest`` fields written per restart by ``search --trace``.
-_TRACE_FIELDS = ("restart", "max_product", "min_product",
-                 "max_iterations", "max_evaluations", "max_converged", "max_nonfinite",
-                 "min_iterations", "min_evaluations", "min_converged", "min_nonfinite")
+_TRACE_FIELDS = ("restart", "max_product", "max_iterations", "max_evaluations", "max_converged",
+                 "max_nonfinite")
 
 
 def _fmt(x: float) -> str:
@@ -150,11 +149,12 @@ def _cmd_search(args) -> int:
         headers = (["restart", "max_product", "min_product"]
                    + [f"max_c_{k}" for k in range(n)] + [f"min_c_{k}" for k in range(n)])
         lines = [",".join(headers)]
+        # the lambda_max rho columns hold the proved minimum on every row
+        min_cells = [repr(c) for c in report.best_min_conductances]
         for rec in report.per_restart:
-            cells = [str(rec.restart), repr(rec.max_product), repr(rec.min_product)]
+            cells = [str(rec.restart), repr(rec.max_product), repr(report.best_min_product)]
             cells += [repr(c) for c in rec.max_conductances]
-            cells += [repr(c) for c in rec.min_conductances]
-            lines.append(",".join(cells))
+            lines.append(",".join(cells + min_cells))
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     if args.trace:
@@ -218,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_figure)
 
-    p = sub.add_parser("search", help="search an n-cycle for product-bound counterexamples")
+    p = sub.add_parser("search", help="search an n-cycle for weights beating equal weights on lambda1*rho",
+                       description="Search n-cycle conductances for a lambda1*rho above the unit cycle's. "
+                                   "Equal weights provably minimize lambda_max*rho on every n-cycle, so "
+                                   "that side is reported as the unit-cycle value, not searched.")
     p.add_argument("n", type=int)
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--iters", type=int, default=500)
@@ -227,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "reproduced without numpy.random")
     p.add_argument("--out", default=None, help="optional CSV of per-restart bests")
     p.add_argument("--trace", default=None,
-                   help="optional JSON Lines file: per restart, both products and each "
-                        "direction's iterations, evaluations, converged flag and non-finite count")
+                   help="optional JSON Lines file: per restart, the best lambda1*rho and its "
+                        "iterations, evaluations, converged flag and non-finite count")
     p.set_defaults(handler=_cmd_search)
 
     return parser

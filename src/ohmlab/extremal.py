@@ -3,16 +3,33 @@
 For a weighted 3-cycle the products lambda_1 * rho and lambda_2 * rho of the
 positive Laplacian eigenvalues with the global resistance are bounded by 6
 from above and below respectively, with equality exactly at equal weights.
-This module verifies that bound, realizes the monotonicity statements behind
-it as numerical scans, and searches larger cycles for counterexamples to the
-analogous extremality of equal weights using scale-free Nelder-Mead runs. The
-search advances every restart and both directions together, from starting
-simplices drawn from numpy's ``default_rng([seed, restart])`` PCG64 stream,
-reproduced in Python integers without ``numpy.random``. This module owns
-the verdicts, the scans and the Nelder-Mead driver; the numbers come from
+This module verifies that bound in closed form, realizes the monotonicity
+statements behind it as numerical scans, and searches larger cycles for
+weights that beat equal weights on lambda_1 * rho.
+
+On every n-cycle, equal weights minimize lambda_max * rho. With c-bar the mean
+of the conductances c in every entry:
+
+- lambda_max(L(c)) is the maximum over unit v of sum_e c_e (v_i - v_j)^2, a
+  maximum of linear functions of c, so it is convex in c;
+- each adjacent pair's effective conductance is a minimum of linear functions
+  of c (Dirichlet's principle), so it is concave, its reciprocal R_e is
+  convex, and so is rho = sum_e R_e;
+- both are invariant under rotating the cycle, and the average of c's n
+  rotations is c-bar, so by Jensen lambda_max(c-bar) <= lambda_max(c) and
+  rho(c-bar) <= rho(c): lambda_max rho(c) >= lambda_max rho(c-bar), the
+  unit-cycle value.
+
+The argument fails for lambda_1, which is concave (Fiedler 1973): averaging
+raises it while it lowers rho. So the search runs the maximizing direction
+alone, and reports the lambda_max * rho side as the proved minimum at equal
+weights. It advances every restart in lockstep from starting simplices drawn
+from numpy's ``default_rng([seed, restart])`` PCG64 stream, reproduced in
+Python integers without ``numpy.random``. This module owns the verdicts, the
+scans and the Nelder-Mead driver; the numbers come from
 :mod:`ohmlab.cycles`: one :func:`~ohmlab.cycles.cycle_spectra` call per
-theorem check or monotonicity grid, and one
-:func:`~ohmlab.cycles.product_evaluator` call per batch of search points.
+monotonicity grid, and one :func:`~ohmlab.cycles.product_evaluator` call per
+batch of search points.
 """
 
 from __future__ import annotations
@@ -81,32 +98,30 @@ class MonotonicityResult(NamedTuple):
 
 @dataclass(frozen=True)
 class RestartBest:
-    """Best products found by one restart of each search direction.
+    """Best lambda_1 rho found by one restart of the maximizing search.
 
-    Per direction, ``iterations`` counts Nelder-Mead iterations, ``evaluations``
-    product evaluations, ``converged`` tells whether the simplex diameter fell
-    below 1e-9 before the iteration cap, and ``nonfinite`` counts evaluations
-    whose product was NaN or infinite.
+    ``max_iterations`` counts Nelder-Mead iterations, ``max_evaluations``
+    product evaluations, ``max_converged`` tells whether the simplex diameter
+    fell below 1e-9 before the iteration cap, and ``max_nonfinite`` counts
+    evaluations whose product was NaN or infinite.
     """
 
     restart: int
     max_product: float
     max_conductances: tuple[float, ...]
-    min_product: float
-    min_conductances: tuple[float, ...]
     max_iterations: int
     max_evaluations: int
     max_converged: bool
     max_nonfinite: int
-    min_iterations: int
-    min_evaluations: int
-    min_converged: bool
-    min_nonfinite: int
 
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of the extremal search on an n-cycle against unit-cycle baselines."""
+    """Outcome of the extremal search on an n-cycle against unit-cycle baselines.
+
+    ``best_min_product`` and ``best_min_conductances`` are the proved minimum
+    of lambda_max rho, ``baseline_high`` at equal weights, not a search result.
+    """
 
     n: int
     trials: int
@@ -127,14 +142,20 @@ def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremR
 
     ``tol`` is relative: the lower bound passes when lambda_1 rho <= 6 (1+tol),
     the upper when lambda_2 rho >= 6 (1-tol), and equality is flagged when both
-    products sit within 6 tol of the bound. The eigensolver's error in
-    lambda_1 is about eps lambda_max, so a product it cannot resolve within
-    that slack (3 eps lambda_max rho > 6 tol), or a non-finite product,
-    raises ``numpy.linalg.LinAlgError`` instead of a verdict. The products are
-    computed on the conductances scaled by the power of two that brings the
-    largest into [1/2, 1), unless that scaling would round a subnormal one
-    while every degree is finite unscaled; ``rho`` is scaled back and reads
-    inf where it exceeds the float range.
+    products sit within 6 tol of the bound.
+
+    The products come in closed form, with no eigensolve. With s1 = sum c_i,
+    s2 = sum c_i c_j and D = sum (c_i - c_j)^2 / 2 = s1^2 - 3 s2, the
+    Laplacian's positive eigenvalues are s1 -+ sqrt(D) and rho = 2 s1 / s2, so
+    lambda_1 rho = 6 s1 / (s1 + sqrt(D)) and lambda_2 rho = 2 s1 (s1 + sqrt(D)) / s2.
+    Every operation adds positive terms or squares a difference of inputs,
+    so both keep full relative accuracy at any ratio. They are computed on
+    the conductances scaled by the power of two that brings the largest into
+    [1/2, 1), so no square overflows and the products are the same at every
+    2^k; a conductance that scaling rounds moves by at most 2^-1075 of the largest.
+    ``rho`` is scaled back and reads inf where it exceeds the float range.
+    lambda_1 rho lies in [3, 6]; a lambda_2 rho past the float range raises
+    ``numpy.linalg.LinAlgError`` instead of a verdict, and nothing else does.
     """
     values = tuple(float(x) for x in conductances)
     if len(values) != 3:
@@ -143,26 +164,22 @@ def verify_theorem(conductances: Sequence[float], tol: float = 1e-9) -> TheoremR
         raise ValueError("tol must be positive")
     if not all(0.0 < c < math.inf for c in values):
         raise GraphError(f"conductances must be positive finite reals, got {values}")
-    # the products are scale-free. Scaling by a power of two keeps the Laplacian
-    # finite and LAPACK off its own rescaling, which is not by a power of two,
-    # so the products are the same at every 2^k; where it would round a
-    # conductance, the unscaled cycle is exact unless a degree overflows
     exponent = math.frexp(max(values))[1]
-    scaled = [math.ldexp(c, -exponent) for c in values]
-    if (any(math.ldexp(c, exponent) != v for c, v in zip(scaled, values))
-            and all(values[e] + values[e - 1] < math.inf for e in range(3))):
-        scaled, exponent = list(values), 0
-    eigenvalues, rhos = cycle_spectra([scaled])
-    scaled_rho = float(rhos[0])
-    lambda1_rho = float(eigenvalues[0, 1]) * scaled_rho
-    lambdamax_rho = float(eigenvalues[0, 2]) * scaled_rho
-    bound = THREE_CYCLE_PRODUCT_BOUND
-    # false as well when rho, and so both products, is NaN or infinite
-    if not 3.0 * np.finfo(float).eps * lambdamax_rho <= bound * tol:
-        raise np.linalg.LinAlgError(f"products lambda_1 rho = {lambda1_rho!r}, lambda_2 rho = "
-                                    f"{lambdamax_rho!r} cannot be resolved to relative tolerance {tol!r}")
+    c0, c1, c2 = (math.ldexp(c, -exponent) for c in values)
+    s1 = c0 + c1 + c2
+    s2 = c0 * c1 + c1 * c2 + c2 * c0
+    d01, d12, d20 = c0 - c1, c1 - c2, c2 - c0
+    root = math.sqrt((d01 * d01 + d12 * d12 + d20 * d20) / 2.0)
+    lambda1_rho = 6.0 * s1 / (s1 + root)
+    # s2 is 0 only where two conductances round to 0 beside the largest
+    lambdamax_rho = 2.0 * s1 * (s1 + root) / s2 if s2 else math.inf
+    if not lambdamax_rho < math.inf:
+        raise np.linalg.LinAlgError(f"lambda_2 rho of the 3-cycle {values} exceeds the float range")
+    # rho = 2 s1 / s2 at 2^-exponent, divided by s2's mantissa so it cannot overflow before the scaling back
+    mantissa, shift = math.frexp(s2)
     with np.errstate(over="ignore"):
-        rho = float(np.ldexp(scaled_rho, -exponent))
+        rho = float(np.ldexp(2.0 * s1 / mantissa, -exponent - shift))
+    bound = THREE_CYCLE_PRODUCT_BOUND
     return TheoremReport(
         conductances=values,
         rho=rho,
@@ -249,15 +266,15 @@ class _LaneResults(NamedTuple):
     nonfinite: np.ndarray
 
 
-def _nelder_mead(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], simplices: np.ndarray,
+def _nelder_mead(fn: Callable[[np.ndarray], np.ndarray], simplices: np.ndarray,
                  max_iters: int) -> _LaneResults:
     """Minimize fn on every lane of a (lanes, dim+1, dim) simplex stack in lockstep.
 
-    ``fn(points, lanes)`` evaluates a stack of points, point i belonging to
-    lane ``lanes[i]``. Each lane follows the scalar method exactly and
-    independently of the others: coefficients reflection 1, expansion 2,
-    contraction 0.5 and shrink 0.5, a stable sort of the vertices every
-    iteration, and a stop when the simplex diameter drops below 1e-9
+    ``fn(points)`` evaluates a stack of points, one value per row. Each lane
+    follows the scalar method exactly and independently of the others:
+    coefficients reflection 1, expansion 2, contraction 0.5 and shrink 0.5,
+    a stable sort of the vertices every iteration, and a stop when the
+    simplex diameter drops below 1e-9
     (``converged``) or after ``max_iters`` iterations. Only running lanes are
     stepped, in compact arrays written back when a lane stops; the all-pairs
     diameter is computed only for lanes whose best-to-worst distance, one of
@@ -274,7 +291,7 @@ def _nelder_mead(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], simplices: 
 
     def evaluate(x: np.ndarray, lanes: np.ndarray, per: int = 1) -> np.ndarray:
         # x holds per points of each lane in turn; lane indices are unique
-        f = fn(x, lanes if per == 1 else np.repeat(lanes, per))
+        f = fn(x)
         bad = ~np.isfinite(f)
         evaluations[lanes] += per
         nonfinite[lanes] += bad if per == 1 else bad.reshape(-1, per).sum(axis=1)
@@ -397,16 +414,22 @@ def _restart_draws(seed: int, restart: int, count: int) -> list[float]:
 
 def search_counterexample(n: int, restarts: int = 200, iters_per_restart: int = 500,
                           seed: int = 0) -> SearchReport:
-    """Search n-cycle conductances maximizing lambda_1 rho and minimizing lambda_{n-1} rho.
+    """Search n-cycle conductances maximizing lambda_1 rho against the unit-cycle baseline.
 
-    Restart k draws the vertices of two simplices, the maximizing one first,
-    log-uniformly in [-3, 3] per coordinate: the first 2 n (n-1) values of
-    numpy's ``default_rng([seed, k]).uniform(-3.0, 3.0)`` PCG64 stream,
-    reproduced without ``numpy.random``. It then runs one Nelder-Mead per
-    direction; all restarts and both directions advance in lockstep as lanes
-    2k (maximizing) and 2k+1 (minimizing) of one :func:`_nelder_mead`. A
-    counterexample is flagged when a product beats its unit-cycle baseline by
-    more than a relative 1e-7.
+    Equal weights minimize lambda_max rho on every n-cycle. lambda_max and rho
+    are convex in the conductances c and invariant under rotating the cycle,
+    so by Jensen their values at c-bar, the mean of c's rotations, are at most
+    their values at c. So the minimizing direction is not searched:
+    ``best_min_product`` is ``baseline_high`` at unit conductances, and the
+    margin is the relative excess of the best lambda_1 rho over
+    ``baseline_low`` alone. lambda_1 is concave, so the argument fails there.
+
+    Restart k draws the vertices of one simplex log-uniformly in [-3, 3] per
+    coordinate: the first n (n-1) values of numpy's
+    ``default_rng([seed, k]).uniform(-3.0, 3.0)`` PCG64 stream, reproduced
+    without ``numpy.random``. All restarts run Nelder-Mead on -lambda_1 rho in
+    lockstep, as lane k of one :func:`_nelder_mead`. A counterexample is
+    flagged when the margin exceeds a relative 1e-7.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"cycle length must be an integer >= 3, got {n!r}")
@@ -421,56 +444,40 @@ def search_counterexample(n: int, restarts: int = 200, iters_per_restart: int = 
     baseline_low = base.lambda1 * base.rho
     baseline_high = base.lambda_max * base.rho
     products = product_evaluator(n)
-    maximize = np.arange(2 * restarts) % 2 == 0
 
-    def objective(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        low, high = products(x)
-        value = np.where(maximize[lanes], -low, high)
+    def objective(x: np.ndarray) -> np.ndarray:
+        value = -products(x)[0]
         value[~np.isfinite(value)] = math.inf
         return value
 
-    def conductances_at(x: np.ndarray) -> tuple[float, ...]:
-        return tuple(float(v) for v in np.exp(np.concatenate(([0.0], x))))
-
     dim = n - 1
-    draws = [x for k in range(restarts) for x in _restart_draws(seed, k, 2 * (dim + 1) * dim)]
-    lanes = _nelder_mead(objective, np.array(draws).reshape(2 * restarts, dim + 1, dim), iters_per_restart)
+    draws = [x for k in range(restarts) for x in _restart_draws(seed, k, (dim + 1) * dim)]
+    lanes = _nelder_mead(objective, np.array(draws).reshape(restarts, dim + 1, dim), iters_per_restart)
 
-    records = []
-    for k in range(restarts):
-        hi, lo = 2 * k, 2 * k + 1
-        records.append(RestartBest(
+    records = tuple(
+        RestartBest(
             restart=k,
-            max_product=-float(lanes.values[hi]),
-            max_conductances=conductances_at(lanes.points[hi]),
-            min_product=float(lanes.values[lo]),
-            min_conductances=conductances_at(lanes.points[lo]),
-            max_iterations=int(lanes.iterations[hi]),
-            max_evaluations=int(lanes.evaluations[hi]),
-            max_converged=bool(lanes.converged[hi]),
-            max_nonfinite=int(lanes.nonfinite[hi]),
-            min_iterations=int(lanes.iterations[lo]),
-            min_evaluations=int(lanes.evaluations[lo]),
-            min_converged=bool(lanes.converged[lo]),
-            min_nonfinite=int(lanes.nonfinite[lo]),
-        ))
-    best_max = max(records, key=lambda rec: rec.max_product)
-    best_min = min(records, key=lambda rec: rec.min_product)
-    margin = max(
-        best_max.max_product / baseline_low - 1.0,
-        1.0 - best_min.min_product / baseline_high,
-    )
+            max_product=-float(lanes.values[k]),
+            max_conductances=tuple(float(v) for v in np.exp(np.concatenate(([0.0], lanes.points[k])))),
+            max_iterations=int(lanes.iterations[k]),
+            max_evaluations=int(lanes.evaluations[k]),
+            max_converged=bool(lanes.converged[k]),
+            max_nonfinite=int(lanes.nonfinite[k]),
+        )
+        for k in range(restarts))
+    best = max(records, key=lambda rec: rec.max_product)
+    margin = best.max_product / baseline_low - 1.0
     return SearchReport(
         n=n,
         trials=restarts,
         seed=seed,
         baseline_low=baseline_low,
         baseline_high=baseline_high,
-        best_max_product=best_max.max_product,
-        best_max_conductances=best_max.max_conductances,
-        best_min_product=best_min.min_product,
-        best_min_conductances=best_min.min_conductances,
+        best_max_product=best.max_product,
+        best_max_conductances=best.max_conductances,
+        best_min_product=baseline_high,
+        best_min_conductances=(1.0,) * n,
         counterexample=bool(margin > COUNTEREXAMPLE_MARGIN),
         margin=margin,
-        per_restart=tuple(records),
+        per_restart=records,
     )

@@ -233,13 +233,21 @@ class TestVerifyCommand:
         assert status == "OK"
 
     @pytest.mark.filterwarnings("error")
-    def test_unresolvable_products_exit_4(self, capsys):
-        # scaled beside 1e200, 1e-200 would round to 0, so the cycle is computed
-        # unscaled: the products are 2 and 4e200, and 3 eps lambda_2 rho > 6 tol
-        assert main(["verify", "1e200", "1e-200", "1"]) == 4
+    def test_extreme_ratio_products_exit_0(self, capsys):
+        # the closed-form products at ratios where an eigensolve gave lambda_1 rho = 2
+        # and refused (exit 4), and where it gave NaN
+        assert main(["verify", "1e200", "1e-200", "1"]) == 0
+        assert capsys.readouterr().out == "lambda1_rho=3 lambda2_rho=4e+200 OK\n"
+        assert main(["verify", "1e308", "1e308", "5e-324"]) == 0
+        assert capsys.readouterr().out == "lambda1_rho=4 lambda2_rho=12 OK\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_product_past_float_range_exit_4(self, capsys):
+        # lambda_2 rho is about 1e600
+        assert main(["verify", "1e300", "1e-300", "1e-300"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "cannot be resolved" in captured.err
+        assert captured.err.count("\n") == 1 and "exceeds the float range" in captured.err
 
 
 #: sha256 of the ``figure`` CSV per (family, lo, hi, steps), recorded while the
@@ -262,13 +270,18 @@ FIGURE_CSV_SHA256 = {
 }
 
 #: sha256 of the stdout, ``--out`` CSV and ``--trace`` JSON Lines bytes of
-#: ``search 5 --restarts 3 --iters 300 --seed 3``, recorded while the search's
-#: products were still computed in ``extremal`` (numpy 2.4 on x86-64).
+#: ``search 5 --restarts 3 --iters 300 --seed 3``, recorded once the search
+#: ran the maximizing lanes alone and reported the proved lambda_max rho
+#: minimum (numpy 2.4 on x86-64).
 SEARCH_SHA256 = {
-    "stdout": "0bdb4d29835c7a927246a91f71515b05174fc8af97a62a00ae037eb5b37a4c8d",
-    "out": "f948387149626c8a2b5c37f7899eb16f5d9a39add9dfe8f87b4c5d3b60d503a6",
-    "trace": "97d1bdb1b0985266a4691d6b54f42dd908f17cba328fc395546561e1c5ff77b9",
+    "stdout": "a913fb33f864a3bca05815fdb5ad8fec0b4a38948ae515b4693201eea1063711",
+    "out": "93f087900de7224507eede8f1e4f4bf5bcf24f61da130d53a3a02f424168dc93",
+    "trace": "e6aa4bd34ad0c59d958ba3a420ec9618839566ad5edb72539e347433b1a3324a",
 }
+#: sha256 of that ``--out`` CSV with its ``min_product`` and ``min_c_*``
+#: columns removed, recorded while the search still ran minimizing lanes
+#: beside the maximizing ones: the maximizing side did not move when they went.
+SEARCH_MAX_COLUMNS_SHA256 = "92f922c7bb844f322f60d99cb8f50538dbb146397d3641204e9c27f20433deae"
 
 
 def assert_csv_matches_recomputation(tmp_path, family, lo, hi, steps):
@@ -489,9 +502,8 @@ class TestSearchCommand:
         assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "traced.csv").read_bytes()
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         report = ohmlab.search_counterexample(5, restarts=3, iters_per_restart=300, seed=3)
-        fields = ["restart", "max_product", "min_product"] + [
-            f"{side}_{name}" for side in ("max", "min")
-            for name in ("iterations", "evaluations", "converged", "nonfinite")]
+        fields = ["restart", "max_product", "max_iterations", "max_evaluations", "max_converged",
+                  "max_nonfinite"]
         assert records == [{name: getattr(rec, name) for name in fields} for rec in report.per_restart]
         assert [list(record) for record in records] == [fields] * 3
         # the seed mixes converged and capped restarts
@@ -504,6 +516,18 @@ class TestSearchCommand:
         stdout = capsys.readouterr().out.encode()
         outputs = {"stdout": stdout, "out": out.read_bytes(), "trace": trace.read_bytes()}
         assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == SEARCH_SHA256
+
+    def test_maximizing_columns_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "search.csv"
+        assert main(["search", "5", "--restarts", "3", "--iters", "300", "--seed", "3", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        keep = [k for k, name in enumerate(rows[0]) if not name.startswith("min_")]
+        text = "".join(",".join(row[k] for k in keep) + "\n" for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_MAX_COLUMNS_SHA256
+        # the minimizing columns hold the unit-cycle value on every row
+        baseline = repr(ohmlab.unit_cycle_baseline(5).lambda_max * 4.0)
+        assert {tuple(row[k] for k in range(len(row)) if k not in keep) for row in rows[1:]} == {
+            (baseline,) + ("1.0",) * 5}
 
     def test_unwritable_trace_exit_2(self, tmp_path):
         trace = str(tmp_path / "missing" / "t.jsonl")
